@@ -28,7 +28,6 @@ from .factoring import FactorPolicy, factor_inventory, factor_token, factored_to
 from .ga import (
     Chromosome,
     GAConfig,
-    GAResult,
     GAState,
     GenStats,
     crossover,
@@ -66,7 +65,6 @@ __all__ = [
     "EOS",
     "FactorPolicy",
     "GAConfig",
-    "GAResult",
     "GAState",
     "GenStats",
     "IllegalBIO",

@@ -15,12 +15,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
-import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 from .corpus import (
+    _FACTOR_MARK_RE,
     IllegalBIO,
     MalformedLine,
     extract_templates,
@@ -31,6 +31,7 @@ from .corpus import (
 )
 from .factoring import ABSOLUTE, RELATIVE, FactorPolicy, factor_inventory, factored_token_stream
 from .ga import GAConfig, population_lines, run, stats_csv_lines
+from .kernels import DEFAULT_BACKEND, available_backends
 from .ngram import MalformedArpa, read_arpa_file, train, write_arpa_file
 
 OUTDIR_ENV = "TEMPLEX_OUTDIR"
@@ -291,6 +292,11 @@ def _read_manifest(outdir: Path) -> dict[str, str]:
 
 
 def cmd_generate(cfg: RunConfig) -> int:
+    if DEFAULT_BACKEND not in available_backends():
+        raise ConfigError(
+            "TEMPLEX_KERNEL=%s names no built kernel backend (available: %s)"
+            % (DEFAULT_BACKEND, ", ".join(available_backends()))
+        )
     outdir = cfg.outdir
     manifest = _read_manifest(outdir)
     expected = config_hash(cfg)
@@ -329,7 +335,6 @@ def cmd_generate(cfg: RunConfig) -> int:
     return 0
 
 
-_FACTOR_MARK_RE = re.compile(r"^__(.+)__$")
 _SPARK = "▁▂▃▄▅▆▇█"
 
 

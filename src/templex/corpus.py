@@ -48,9 +48,6 @@ class AnnotatedToken:
 class AnnotatedSentence:
     tokens: tuple[AnnotatedToken, ...]
 
-    def words(self) -> list[str]:
-        return [t.surface for t in self.tokens]
-
 
 @dataclass(frozen=True)
 class TemplateItem:

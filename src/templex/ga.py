@@ -94,13 +94,10 @@ class GenStats:
 
 @dataclass
 class GAState:
+    """A generation's population and the stats of every generation so far;
+    ``run`` returns the final one."""
+
     generation: int
-    population: list[Chromosome]
-    stats: list[GenStats]
-
-
-@dataclass
-class GAResult:
     population: list[Chromosome]
     stats: list[GenStats]
 
@@ -114,7 +111,7 @@ def junction_probability(lm: NGramModel, left: Chromosome, right: Chromosome) ->
     """Probability of the first token of ``right`` following the end of ``left``."""
     n = len(left.surface)
     ctx = left.surface[max(0, n - (lm.order - 1)) : n] if lm.order > 1 else ()
-    return 10.0 ** lm.scorer().logprob(ctx, right.surface[0])
+    return 10.0 ** lm.scorer.logprob(ctx, right.surface[0])
 
 
 def crossover(left: Chromosome, right: Chromosome) -> Chromosome:
@@ -142,7 +139,7 @@ def fitness(c: Chromosome, sig_lm: NGramModel, cfg: GAConfig) -> float:
     distance to the target length (clamped to >= 1) -- and maps it through
     10**(-cost), so 1.0 means every transition had probability one.
     """
-    scorer = sig_lm.scorer()
+    scorer = sig_lm.scorer
     length = len(c.signature)
     nl_partial = -scorer.sequence_logprob(c.signature, False)
     nl_total = -scorer.sequence_logprob(c.signature, True)
@@ -229,7 +226,7 @@ def run(
     lm: NGramModel,
     sig_lm: NGramModel,
     observer: Callable[[GAState], None] | None = None,
-) -> GAResult:
+) -> GAState:
     """Seeded end-to-end evolution for exactly cfg.generations generations."""
     rng = random.Random(cfg.rng_seed)
     state = init_population(inventory, cfg, sig_lm, rng)
@@ -239,7 +236,7 @@ def run(
         state = evolve_generation(state, cfg, lm, sig_lm, inventory, rng)
         if observer is not None:
             observer(state)
-    return GAResult(state.population, state.stats)
+    return state
 
 
 def _gen_stats(generation: int, population: list[Chromosome]) -> GenStats:

@@ -31,7 +31,11 @@ def available_backends() -> tuple[str, ...]:
 
 
 class ModelScorer:
-    """String-level query interface bound to one model and one kernel."""
+    """String-level query interface bound to one model and one kernel.
+
+    Each model holds one, on the default backend, as ``model.scorer``;
+    ``make_scorer(model, backend)`` builds another on an explicit backend.
+    """
 
     def __init__(self, model, backend: str | None = None):
         name = backend or DEFAULT_BACKEND
@@ -47,9 +51,17 @@ class ModelScorer:
         return self.tables.encode_all(tokens)
 
     def logprob(self, context: Sequence[str], token: str) -> float:
+        """log10 P(token | context); context is truncated to order - 1 tokens."""
         return self.kernel.logprob_ids(self.tables.encode_all(context), self.tables.encode(token))
 
-    def sequence_logprob(self, tokens: Sequence[str], with_boundaries: bool) -> float:
+    def sequence_logprob(self, tokens: Sequence[str], with_boundaries: bool = False) -> float:
+        """Sum of per-token log10 probabilities, context growing left to right.
+
+        With boundaries the sequence is padded with start symbols and the
+        transition into the end symbol is scored as well.
+        """
+        if not tokens:
+            raise ValueError("cannot score an empty sequence")
         return self.kernel.sequence_logprob_ids(self.tables.encode_all(tokens), with_boundaries)
 
 

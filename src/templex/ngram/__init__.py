@@ -2,7 +2,7 @@
 
 from .arpa import MalformedArpa, read_arpa, read_arpa_file, write_arpa, write_arpa_file
 from .counts import BOS, EOS, UNK, EmptyCorpus, NGramCounts, count_ngrams
-from .model import NGramModel, logprob, sequence_logprob
+from .model import NGramModel
 from .smoothing import Discounts, estimate_discounts, train, train_kn
 
 __all__ = [
@@ -16,10 +16,8 @@ __all__ = [
     "NGramModel",
     "count_ngrams",
     "estimate_discounts",
-    "logprob",
     "read_arpa",
     "read_arpa_file",
-    "sequence_logprob",
     "train",
     "train_kn",
     "write_arpa",

@@ -1,18 +1,19 @@
-"""Queryable n-gram model in backoff form, log10 everywhere.
+"""N-gram model in backoff form, log10 everywhere.
 
 Stored probabilities are full interpolated values; unseen n-grams are scored
 by the standard longest-match walk (sum the backoff weights of the contexts
 that miss, then take the longest stored suffix).  Out-of-vocabulary tokens
 score as ``<unk>`` when the model has one, else at the -99 floor; no query
-ever returns -inf.
+ever returns -inf.  Queries go through :attr:`NGramModel.scorer`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from functools import cached_property
 
-from .counts import BOS, EOS, NGram
+from .. import kernels
+from .counts import NGram
 
 LOG_FLOOR = -99.0
 
@@ -24,40 +25,8 @@ class NGramModel:
     logprobs: dict[NGram, float]
     backoffs: dict[NGram, float]
     unk_log10: float = LOG_FLOOR
-    _scorer: object = field(default=None, repr=False, compare=False)
 
-    def scorer(self, backend: str | None = None):
-        """The compiled (or fallback) query kernel for this model, cached."""
-        from ..kernels import make_scorer
-
-        if self._scorer is None or backend is not None:
-            scorer = make_scorer(self, backend)
-            if backend is not None:
-                return scorer
-            self._scorer = scorer
-        return self._scorer
-
-    def logprob(self, context: Sequence[str], token: str) -> float:
-        """log10 P(token | context); context is truncated to order - 1 tokens."""
-        return self.scorer().logprob(tuple(context), token)
-
-    def sequence_logprob(self, tokens: Sequence[str], with_boundaries: bool = False) -> float:
-        """Sum of per-token log10 probabilities, context growing left to right.
-
-        With boundaries the sequence is padded with start symbols and the
-        transition into the end symbol is scored as well.
-        """
-        if not tokens:
-            raise ValueError("cannot score an empty sequence")
-        return self.scorer().sequence_logprob(tokens, with_boundaries)
-
-    def prob(self, context: Sequence[str], token: str) -> float:
-        return 10.0 ** self.logprob(context, token)
-
-
-def logprob(model: NGramModel, context: Sequence[str], token: str) -> float:
-    return model.logprob(context, token)
-
-
-def sequence_logprob(model: NGramModel, tokens: Sequence[str], with_boundaries: bool = False) -> float:
-    return model.sequence_logprob(tokens, with_boundaries)
+    @cached_property
+    def scorer(self) -> kernels.ModelScorer:
+        """The query object on the default kernel backend, built on first use."""
+        return kernels.make_scorer(self)

@@ -116,6 +116,6 @@ def sweep_setup():
     inventory = extract_templates(sents)
     token_lm = train([[t.surface for t in s.tokens] for s in sents], 3)
     sig_lm = train(inventory.signature_sequences(), 5)
-    token_lm.scorer()
-    sig_lm.scorer()
+    token_lm.scorer
+    sig_lm.scorer
     return inventory, token_lm, sig_lm

@@ -48,7 +48,7 @@ def test_kneser_ney_models_normalize_over_observed_and_random_contexts(
     the order-3 token model and the order-5 signature model, within 5 s."""
     start = time.perf_counter()
     for lm, seqs in ((token_lm3, desk_token_seqs), (sig_lm5, desk_sig_seqs)):
-        sc = lm.scorer()
+        sc = lm.scorer
         words = sorted(lm.vocab)
         contexts = _all_observed_contexts(seqs, lm.order)
         contexts += _random_contexts(lm.vocab, lm.order, 100, seed=1000 + lm.order)
@@ -70,14 +70,14 @@ def test_stored_and_random_logprobs_match_independent_reference(
         for g in lm.logprobs:
             if g == ("<unk>",):
                 continue
-            got = lm.logprob(g[:-1], g[-1])
+            got = lm.scorer.logprob(g[:-1], g[-1])
             want = oracle.logprob(g[:-1], g[-1])
             assert abs(got - want) <= 1e-9, g
         words = sorted(lm.vocab) + ["odd-one-out"]
         for _ in range(500):
             ctx = tuple(rng.choice(words) for _ in range(rng.randrange(0, lm.order)))
             w = rng.choice(words)
-            assert abs(lm.logprob(ctx, w) - oracle.logprob(ctx, w)) <= 1e-9, (ctx, w)
+            assert abs(lm.scorer.logprob(ctx, w) - oracle.logprob(ctx, w)) <= 1e-9, (ctx, w)
     assert time.perf_counter() - start < 10.0
 
 
@@ -92,7 +92,7 @@ def test_external_toolkit_arpa_scores_match_toolkits_own_scoring(data_dir):
     assert len(rows) == 50
     worst = 0.0
     for _, sentence, frozen in rows:
-        got = m.sequence_logprob(sentence.split(), with_boundaries=True)
+        got = m.scorer.sequence_logprob(sentence.split(), with_boundaries=True)
         worst = max(worst, abs(got - float(frozen)))
     assert worst <= 1e-3, worst
 
@@ -140,8 +140,8 @@ def test_fitness_equals_hand_applied_formula_on_hand_built_chromosomes(
     assert len(lengths) == 20 and cfg.target_length in lengths
     for n in lengths:
         c = make_chromosome([ts[rng.randrange(len(ts))] for _ in range(n)])
-        nl_partial = -sig_lm5.sequence_logprob(c.signature, False)
-        nl_total = -sig_lm5.sequence_logprob(c.signature, True)
+        nl_partial = -sig_lm5.scorer.sequence_logprob(c.signature, False)
+        nl_total = -sig_lm5.scorer.sequence_logprob(c.signature, True)
         gap = max(1, abs(cfg.target_length - n))
         expected = 10.0 ** -max(nl_partial / n, nl_total / ((n + 2) * gap))
         got = fitness(c, sig_lm5, cfg)

@@ -52,11 +52,11 @@ def test_hand_file_parses_exactly():
 
 def test_hand_file_backoff_walk():
     m = read_arpa(io.StringIO(HAND_BIGRAM))
-    assert m.logprob(("a",), "b") == pytest.approx(-0.1, abs=1e-12)
+    assert m.scorer.logprob(("a",), "b") == pytest.approx(-0.1, abs=1e-12)
     # unseen bigram, context with explicit weight
-    assert m.logprob(("a",), "a") == pytest.approx(-0.2 + -0.3010, abs=1e-12)
+    assert m.scorer.logprob(("a",), "a") == pytest.approx(-0.2 + -0.3010, abs=1e-12)
     # unseen bigram, context whose weight was omitted (implicit 0)
-    assert m.logprob(("b",), "a") == pytest.approx(-0.3010, abs=1e-12)
+    assert m.scorer.logprob(("b",), "a") == pytest.approx(-0.3010, abs=1e-12)
 
 
 def test_reader_accepts_space_separated_fields():
@@ -73,7 +73,7 @@ def test_unk_line_becomes_oov_score():
     m = read_arpa(io.StringIO(text))
     assert m.unk_log10 == -2.5
     assert "<unk>" not in m.vocab
-    assert m.logprob((), "zzz") == pytest.approx(-2.5, abs=1e-12)
+    assert m.scorer.logprob((), "zzz") == pytest.approx(-2.5, abs=1e-12)
 
 
 def test_round_trip_preserves_values_to_rendering_precision(token_lm3):
@@ -96,8 +96,8 @@ def test_round_trip_model_scores_close(token_lm3):
         w = rng.choice(words)
         # one probability plus at most order-1 backoff weights, each off by
         # at most half an ulp of the 4-decimal rendering
-        assert m.logprob(ctx, w) == pytest.approx(
-            token_lm3.logprob(ctx, w), abs=3 * 5e-5 + 1e-9
+        assert m.scorer.logprob(ctx, w) == pytest.approx(
+            token_lm3.scorer.logprob(ctx, w), abs=3 * 5e-5 + 1e-9
         )
 
 
@@ -200,5 +200,5 @@ def test_production_model_matches_reference_scoring(data_dir):
     with open(data_dir / "token_ref_scores.tsv", encoding="utf-8") as fh:
         rows = [ln.rstrip("\n").split("\t") for ln in fh]
     for _, sentence, frozen in rows:
-        got = m.sequence_logprob(sentence.split(), with_boundaries=True)
+        got = m.scorer.sequence_logprob(sentence.split(), with_boundaries=True)
         assert got == pytest.approx(float(frozen), abs=1e-9)

@@ -21,6 +21,8 @@ from templex.cli import (
     sparkline,
 )
 
+CHECKOUT = Path(__file__).resolve().parent.parent
+
 DESK_KEYS = {
     "factor.mode": "absolute",
     "factor.threshold": "2",
@@ -371,6 +373,25 @@ def test_generate_empty_inventory_exits_2(tmp_path, data_dir):
     assert main(["generate", "--config", str(path)]) == 2
 
 
+def test_generate_unbuilt_kernel_backend_exits_1(tmp_path, data_dir):
+    # The backend is chosen when templex.kernels is imported, so the
+    # environment variable needs a fresh interpreter.
+    path = trained_config(tmp_path, data_dir)
+    env = dict(os.environ, TEMPLEX_KERNEL="bogus")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(CHECKOUT / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "templex.cli", "generate", "--config", str(path)],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: TEMPLEX_KERNEL=bogus"), proc.stderr
+    assert "python" in lines[0]  # names the backends that are built
+    assert not (tmp_path / "out" / cli.STATS_FILE).exists()
+
+
 # --------------------------------------------------------------------- inspect
 
 
@@ -458,9 +479,6 @@ def test_usage_error_exits_1(capsys):
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert "train" in capsys.readouterr().out
-
-
-CHECKOUT = Path(__file__).resolve().parent.parent
 
 
 def test_console_entry_point_installed(tmp_path):

@@ -112,7 +112,7 @@ def test_junction_uses_last_context_window(token_lm3, desk_factored_inventory):
     ts = desk_factored_inventory.templates
     left = make_chromosome(ts[:3])
     right = single(ts[4])
-    expected = token_lm3.prob(left.surface[-2:], right.surface[0])
+    expected = 10 ** token_lm3.scorer.logprob(left.surface[-2:], right.surface[0])
     assert junction_probability(token_lm3, left, right) == pytest.approx(
         expected, rel=1e-12
     )
@@ -121,7 +121,7 @@ def test_junction_uses_last_context_window(token_lm3, desk_factored_inventory):
 def test_junction_with_short_left_side(token_lm3):
     left = make_chromosome([lex_template(["solo"], "NP")])
     right = make_chromosome([lex_template(["next"], "VP")])
-    expected = token_lm3.prob(("solo",), "next")
+    expected = 10 ** token_lm3.scorer.logprob(("solo",), "next")
     assert junction_probability(token_lm3, left, right) == pytest.approx(
         expected, rel=1e-12
     )
@@ -132,7 +132,7 @@ def test_junction_under_unigram_model(desk_token_seqs):
     left = make_chromosome([lex_template(["whatever", "context"], "NP")])
     right = make_chromosome([lex_template(["x"], "VP")])
     assert junction_probability(lm1, left, right) == pytest.approx(
-        lm1.prob((), "x"), rel=1e-12
+        10 ** lm1.scorer.logprob((), "x"), rel=1e-12
     )
 
 
@@ -194,8 +194,8 @@ def test_fitness_formula_hand_applied(sig_lm5, desk_factored_inventory):
     cfg = default_cfg(target_length=5)
     for k in (1, 2, 5, 9):
         c = make_chromosome(desk_factored_inventory.templates[:k])
-        nl_partial = -sig_lm5.sequence_logprob(c.signature, False)
-        nl_total = -sig_lm5.sequence_logprob(c.signature, True)
+        nl_partial = -sig_lm5.scorer.sequence_logprob(c.signature, False)
+        nl_total = -sig_lm5.scorer.sequence_logprob(c.signature, True)
         gap = max(1, abs(cfg.target_length - k))
         expected = 10.0 ** -max(nl_partial / k, nl_total / ((k + 2) * gap))
         assert fitness(c, sig_lm5, cfg) == pytest.approx(expected, abs=1e-15)

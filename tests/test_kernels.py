@@ -159,7 +159,7 @@ def test_env_var_native_selected(tmp_path):
 
 
 def test_model_scorer_respects_explicit_backend_without_cache_clobber(token_lm3):
-    cached = token_lm3.scorer()
-    explicit = token_lm3.scorer("python")
+    cached = token_lm3.scorer
+    explicit = make_scorer(token_lm3, "python")
     assert isinstance(explicit, ModelScorer) and explicit.backend == "python"
-    assert token_lm3.scorer() is cached  # explicit request did not replace the cache
+    assert token_lm3.scorer is cached  # explicit request did not replace the cache

@@ -81,7 +81,7 @@ def test_stored_probabilities_nonpositive(token_lm3, sig_lm5):
 
 
 def test_normalization_over_observed_contexts(token_lm3):
-    sc = token_lm3.scorer()
+    sc = token_lm3.scorer
     contexts = {g[:-1] for g in token_lm3.logprobs if len(g) > 1}
     for ctx in contexts:
         total = sum(10 ** sc.logprob(ctx, w) for w in token_lm3.vocab)

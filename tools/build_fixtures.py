@@ -1,18 +1,18 @@
 #!/usr/bin/env python3
-"""Regenerate the committed test fixtures in tests/data/.
+"""Regenerate the committed test corpus tests/data/desk.conll.
 
-Produces, deterministically:
+desk.conll is a seeded ~55-sentence chunk-annotated corpus (>= 50 sentences,
+<= 500 tokens) in 3-column format; this script rewrites it byte for byte.
 
-* desk.conll        -- a seeded ~55-sentence chunk-annotated corpus
-                       (>= 50 sentences, <= 500 tokens) in 3-column format;
-* token_ref.arpa    -- an order-3 model over the corpus surface text, trained
-                       by the third-party Kneser-Ney trainer vendored under
-                       examples/ (a SRILM-compatible reference implementation);
-* token_ref_scores.tsv -- frozen log10 scores of the first 50 sentences under
-                       that reference model, computed with the independent
-                       ARPA scorer in tests/oracles.py.
+The other fixtures are not regenerated here:
 
-mini.conll is hand-annotated and NOT regenerated here.
+* mini.conll is hand-annotated;
+* token_ref.arpa is frozen third-party output: the order-3 model over
+  desk.conll's surface text written by Kaldi's Kneser-Ney trainer
+  ``make_kn_lm.py``, which this repository does not vendor;
+* token_ref_scores.tsv is frozen with it: the log10 scores of desk.conll's
+  first 50 sentences under token_ref.arpa, computed with the independent
+  ARPA scorer in tests/oracles.py.
 
 Run from the repository root:  python3 tools/build_fixtures.py
 """
@@ -20,22 +20,9 @@ Run from the repository root:  python3 tools/build_fixtures.py
 from __future__ import annotations
 
 import random
-import subprocess
-import sys
-import tempfile
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-DATA = ROOT / "tests" / "data"
-TRAINER = (
-    ROOT
-    / "examples"
-    / "n_gram_language_model_kneser_ney_smoothing_imple"
-    / "r039__kaldi-asr__kaldi__make_kn_lm.py"
-)
-
-sys.path.insert(0, str(ROOT / "tests"))
-from oracles import arpa_seq_logprob, read_arpa_table  # noqa: E402
+DATA = Path(__file__).resolve().parent.parent / "tests" / "data"
 
 SEED = 7781
 
@@ -170,43 +157,13 @@ def build_corpus(n_sentences=55):
     return sentences, tokens
 
 
-def surfaces(sentences):
-    return [[line.split()[0] for line in sent] for sent in sentences]
-
-
 def main():
-    DATA.mkdir(parents=True, exist_ok=True)
     sentences, tokens = build_corpus()
+    DATA.mkdir(parents=True, exist_ok=True)
     with open(DATA / "desk.conll", "w", encoding="utf-8", newline="\n") as fh:
-        for i, sent in enumerate(sentences):
-            if i:
-                fh.write("\n")
-            fh.write("\n".join(sent) + "\n")
-    words = surfaces(sentences)
-    distinct = len({w for s in words for w in s})
+        fh.write("\n".join("\n".join(sent) + "\n" for sent in sentences))
+    distinct = len({line.split()[0] for sent in sentences for line in sent})
     print("desk.conll: %d sentences, %d tokens, %d distinct words" % (len(sentences), tokens, distinct))
-
-    # Train the reference model with the third-party trainer.  Its input is
-    # one sentence per line and it stops at the first blank line, so the text
-    # file must not contain any.
-    arpa_path = DATA / "token_ref.arpa"
-    with tempfile.NamedTemporaryFile("w", suffix=".txt", delete=False, encoding="latin-1") as tf:
-        for s in words:
-            tf.write(" ".join(s) + "\n")
-        text_path = tf.name
-    subprocess.run(
-        [sys.executable, str(TRAINER), "-ngram-order", "3", "-text", text_path, "-lm", str(arpa_path)],
-        check=True,
-    )
-    print("token_ref.arpa written by %s" % TRAINER.name)
-
-    order, logprobs, backoffs = read_arpa_table(arpa_path)
-    assert order == 3
-    with open(DATA / "token_ref_scores.tsv", "w", encoding="utf-8", newline="\n") as fh:
-        for i, s in enumerate(words[:50]):
-            score = arpa_seq_logprob(order, logprobs, backoffs, s)
-            fh.write("%d\t%s\t%.10f\n" % (i, " ".join(s), score))
-    print("token_ref_scores.tsv: 50 sentences frozen")
 
 
 if __name__ == "__main__":
