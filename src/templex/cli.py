@@ -252,6 +252,12 @@ def cmd_train(cfg: RunConfig) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise DataError("cannot create output directory %s: %s" % (outdir, exc)) from None
+    # The manifest is written last; dropping the old one first means a
+    # retrain that dies partway leaves no manifest that generate would trust.
+    try:
+        (outdir / MANIFEST_FILE).unlink(missing_ok=True)
+    except OSError as exc:
+        raise DataError("cannot remove old manifest in %s: %s" % (outdir, exc)) from None
     _write_lines(outdir / INVENTORY_FILE, inventory_lines(inventory))
     try:
         write_arpa_file(token_lm, outdir / TOKEN_LM_FILE)

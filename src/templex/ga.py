@@ -7,6 +7,13 @@ signature under the signature model, normalized for length and for distance
 from the target length.  Each generation keeps the fittest half of the
 parents and fills the other half with tournament offspring.
 
+The junction gate runs on model state carried by each chromosome: ``ends``
+caches the token scorer it was computed for, the id of the first surface
+token and the scorer's state after the last order - 1 surface tokens.  It
+is filled on a chromosome's first gate use and refilled when a different
+scorer asks, so a tried pair costs one ``kernel.score`` and no string
+encoding, slicing or context walk.
+
 Reproducibility contract: all randomness flows through one ``random.Random``.
 A tournament round consumes, in order: one ``sample()`` of tournament_size
 population indices, then for every ordered pair (outer index, inner index,
@@ -37,6 +44,8 @@ class Chromosome:
     surface: tuple[str, ...]  # concatenated rendered items
     signature: tuple[str, ...]  # one chunk tag per template
     fitness: float | None = field(default=None, compare=False)
+    # (token scorer, head id, tail state), filled by the junction gate
+    ends: tuple | None = field(default=None, compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.templates)
@@ -107,11 +116,21 @@ class GAState:
 PAIR_CAP_FACTOR = 10_000
 
 
+def _ends(c: Chromosome, scorer) -> tuple:
+    c.ends = (scorer,) + scorer.ends(c.surface)
+    return c.ends
+
+
 def junction_probability(lm: NGramModel, left: Chromosome, right: Chromosome) -> float:
     """Probability of the first token of ``right`` following the end of ``left``."""
-    n = len(left.surface)
-    ctx = left.surface[max(0, n - (lm.order - 1)) : n] if lm.order > 1 else ()
-    return 10.0 ** lm.scorer.logprob(ctx, right.surface[0])
+    scorer = lm.scorer
+    tail = left.ends
+    if tail is None or tail[0] is not scorer:
+        tail = _ends(left, scorer)
+    head = right.ends
+    if head is None or head[0] is not scorer:
+        head = _ends(right, scorer)
+    return 10.0 ** scorer.kernel.score(tail[2], head[1])
 
 
 def crossover(left: Chromosome, right: Chromosome) -> Chromosome:

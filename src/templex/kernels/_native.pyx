@@ -81,6 +81,10 @@ cdef class NativeScorer:
                 return 0
             u = self.parent[u]
 
+    def score(self, state, tid):
+        cdef int64_t s = state
+        return self._score(s, tid)
+
     def score_step(self, state, tid):
         cdef int64_t s = state
         cdef int64_t x = tid

@@ -17,8 +17,34 @@ class PyScorer:
     def __init__(self, tables: ScorerTables):
         self.t = tables
 
+    def score(self, state: int, tid: int) -> float:
+        """log10 prob of tid in state: the first half of ``score_step``."""
+        t = self.t
+        probs = t.probs
+        parent = t.parent
+        base = t.base
+        s = state
+        acc = 0.0
+        while True:
+            lp = probs.get(s * base + tid)
+            if lp is not None:
+                lp += acc
+                break
+            if s == 0:
+                lp = acc + t.unk_log10
+                break
+            acc += t.backoff[s]
+            s = parent[s]
+        if lp < LOG_FLOOR:
+            lp = LOG_FLOOR
+        return lp
+
     def score_step(self, state: int, tid: int) -> tuple[float, int]:
-        """(log10 prob of tid in state, state after consuming tid)."""
+        """(log10 prob of tid in state, state after consuming tid).
+
+        The scoring half repeats ``score`` inline: sequence scoring runs
+        through here once per token and would pay for the extra call.
+        """
         t = self.t
         probs = t.probs
         parent = t.parent
@@ -75,7 +101,7 @@ class PyScorer:
 
     def logprob_ids(self, context_ids, tid: int) -> float:
         state = self.walk(0, context_ids[-(self.t.order - 1) :] if self.t.order > 1 else ())
-        return self.score_step(state, tid)[0]
+        return self.score(state, tid)
 
     def sequence_logprob_ids(self, tids, with_boundaries: bool) -> float:
         state = self.t.bos_state if with_boundaries else 0
@@ -84,5 +110,5 @@ class PyScorer:
             lp, state = self.score_step(state, tid)
             total += lp
         if with_boundaries:
-            total += self.score_step(state, self.t.eos_id)[0]
+            total += self.score(state, self.t.eos_id)
         return total

@@ -273,6 +273,24 @@ def test_train_bad_config_exits_1(tmp_path, data_dir, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_failed_retrain_leaves_no_manifest(tmp_path, data_dir, monkeypatch, capsys):
+    path = write_config(tmp_path, data_dir)
+    assert main(["train", "--config", str(path)]) == 0
+    out = tmp_path / "out"
+    assert (out / cli.MANIFEST_FILE).is_file()
+
+    def fail_write(model, target):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "write_arpa_file", fail_write)
+    assert main(["train", "--config", str(path)]) == 2
+    assert "disk full" in capsys.readouterr().err
+    assert not (out / cli.MANIFEST_FILE).exists()
+    # the inventory was rewritten but the models were not: nothing to trust
+    assert main(["generate", "--config", str(path)]) == 2
+    assert "run train first" in capsys.readouterr().err
+
+
 def test_resolved_config_is_complete_key_value(tmp_path, data_dir):
     path = write_config(tmp_path, data_dir)
     assert main(["train", "--config", str(path)]) == 0

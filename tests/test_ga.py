@@ -72,7 +72,9 @@ def test_chromosome_identity_ignores_fitness():
     t = lex_template(["x"], "NP")
     a, b = single(t), single(t)
     a.fitness = 0.25
+    a.ends = (None, 0, 0)  # nor does the junction gate's cached state
     assert a == b
+    assert "ends" not in repr(a)
 
 
 # ------------------------------------------------------------------ crossover
@@ -134,6 +136,44 @@ def test_junction_under_unigram_model(desk_token_seqs):
     assert junction_probability(lm1, left, right) == pytest.approx(
         10 ** lm1.scorer.logprob((), "x"), rel=1e-12
     )
+
+
+def random_chromosomes(inventory, rng, n):
+    """Chromosomes of 1-4 templates, half of them drawn from the 1-token
+    templates so that order-3 tails often span two or more templates."""
+    ts = inventory.templates
+    ones = [t for t in ts if len(t.rendered()) == 1]
+    chroms = []
+    for _ in range(n):
+        picks = [
+            rng.choice(ones) if rng.random() < 0.5 else rng.choice(ts)
+            for _ in range(rng.randrange(1, 5))
+        ]
+        chroms.append(make_chromosome(picks))
+    chroms.append(make_chromosome([lex_template(["never-seen", "unseen-too"], "NP")]))
+    return chroms
+
+
+def string_junction(lm, left, right):
+    ctx = left.surface[-(lm.order - 1) :] if lm.order > 1 else ()
+    return 10 ** lm.scorer.logprob(ctx, right.surface[0])
+
+
+def test_junction_equals_string_query_exactly(
+    token_lm3, desk_token_seqs, desk_factored_inventory
+):
+    lm1 = train(desk_token_seqs, 1)
+    chroms = random_chromosomes(desk_factored_inventory, random.Random(34), 40)
+    # some tails cross a template boundary
+    assert any(len(c.templates[-1].rendered()) == 1 < len(c.surface) for c in chroms)
+    # alternating models on the same chromosomes refills the cached ends
+    for lm in (token_lm3, lm1, token_lm3, lm1):
+        for left in chroms:
+            for right in chroms:
+                assert junction_probability(lm, left, right) == string_junction(
+                    lm, left, right
+                ), (lm.order, left.surface, right.surface)
+        assert all(c.ends[0] is lm.scorer for c in chroms)
 
 
 # ------------------------------------------------------------------- mutation

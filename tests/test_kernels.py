@@ -14,7 +14,7 @@ from templex.kernels import (
     make_scorer,
 )
 from templex.kernels.tables import build_tables
-from templex.ngram import BOS, read_arpa_file
+from templex.ngram import BOS, read_arpa_file, train
 
 HAVE_NATIVE = "native" in available_backends()
 needs_native = pytest.mark.skipif(not HAVE_NATIVE, reason="compiled kernel not built")
@@ -123,6 +123,52 @@ def test_score_step_advances_like_walk(token_lm3):
         for tid in ids:
             _, state = sc.kernel.score_step(state, tid)
         assert state == sc.kernel.walk(0, ids)
+
+
+def query_ids(tables, rng, n):
+    """n random token ids plus the OOV sentinel."""
+    return [tables.base - 1] + [rng.randrange(tables.base - 1) for _ in range(n)]
+
+
+@pytest.mark.parametrize("backend", available_backends())
+def test_score_is_score_step_probability(token_lm3, sig_lm5, backend):
+    rng = random.Random(4099)
+    for model in (token_lm3, sig_lm5):
+        sc = make_scorer(model, backend)
+        for state in range(len(sc.tables.ctx_len)):
+            for tid in query_ids(sc.tables, rng, 6):
+                assert sc.kernel.score(state, tid) == sc.kernel.score_step(state, tid)[0], (
+                    model.order, state, tid)
+
+
+@needs_native
+def test_score_bit_identical_across_backends(token_lm3, sig_lm5):
+    rng = random.Random(4100)
+    for model in (token_lm3, sig_lm5):
+        py = make_scorer(model, "python")
+        nat = make_scorer(model, "native")
+        for state in range(len(py.tables.ctx_len)):
+            for tid in query_ids(py.tables, rng, 6):
+                assert py.kernel.score(state, tid) == nat.kernel.score(state, tid), (
+                    model.order, state, tid)
+
+
+def test_ends_match_string_queries(token_lm3, desk_token_seqs):
+    lm1 = train(desk_token_seqs, 1)
+    rng = random.Random(4101)
+    for model in (token_lm3, lm1):
+        sc = model.scorer
+        words = sorted(model.vocab) + ["oov-x"]
+        for _ in range(200):
+            left = [rng.choice(words) for _ in range(rng.randrange(1, 5))]
+            right = [rng.choice(words) for _ in range(rng.randrange(1, 3))]
+            _, tail = sc.ends(left)
+            head, _ = sc.ends(right)
+            assert head == sc.tables.encode(right[0])
+            ctx = left[-(model.order - 1) :] if model.order > 1 else ()
+            assert sc.kernel.score(tail, head) == sc.logprob(ctx, right[0])
+            if model.order == 1:
+                assert tail == 0  # the root: a unigram model keeps no context
 
 
 def test_per_token_scores_sum_to_sequence(token_lm3):
