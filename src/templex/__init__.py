@@ -16,7 +16,6 @@ from .corpus import (
     MalformedLine,
     Template,
     TemplateInventory,
-    TemplateItem,
     extract_templates,
     inventory_lines,
     parse_conll,
@@ -75,7 +74,6 @@ __all__ = [
     "NGramModel",
     "Template",
     "TemplateInventory",
-    "TemplateItem",
     "UNK",
     "available_backends",
     "count_ngrams",

@@ -15,12 +15,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 from .corpus import (
-    _FACTOR_MARK_RE,
     IllegalBIO,
     MalformedLine,
     extract_templates,
@@ -342,6 +342,7 @@ def cmd_generate(cfg: RunConfig) -> int:
 
 
 _SPARK = "▁▂▃▄▅▆▇█"
+_FACTOR_MARK_RE = re.compile(r"^__(.+)__$")
 
 
 def bare_factors(surface: str) -> str:
@@ -361,6 +362,8 @@ def sparkline(values) -> str:
 
 
 def cmd_inspect(result_dir: Path, top: int) -> int:
+    if top < 1:
+        raise ConfigError("--top must be >= 1, got %d" % top)
     pop_path = result_dir / POPULATION_FILE
     stats_path = result_dir / STATS_FILE
     rows = []

@@ -5,6 +5,10 @@ between sentences), extracts every maximal chunk span as a template, and
 computes the word-frequency table that factoring relies on.  Out-of-chunk
 (``O``) tokens become single-token templates with tag ``O`` so that each
 sentence is fully covered by its template sequence.
+
+A template is a tuple of strings: words, and gaps written ``__POS__``
+(which factoring introduces).  The same strings go into ``inventory.tsv``
+and into every chromosome surface.
 """
 
 from __future__ import annotations
@@ -14,9 +18,6 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
-
-LEXICAL = "lex"
-FACTOR = "factor"
 
 _CHUNK_RE = re.compile(r"^(?:O|[BI]-.+)$")
 
@@ -50,45 +51,20 @@ class AnnotatedSentence:
 
 
 @dataclass(frozen=True)
-class TemplateItem:
-    """One template slot: either a concrete word or a POS-typed gap.
-
-    ``pos`` is the POS tag of the original corpus token and is kept for
-    lexical items too, so a later factoring pass knows what to gap them to.
-    For factor items ``text == pos``.
-    """
-
-    kind: str  # LEXICAL or FACTOR
-    text: str
-    pos: str
-
-    def render(self) -> str:
-        # Factors are wrapped so they can never collide with a real word.
-        return self.text if self.kind == LEXICAL else "__%s__" % self.pos
-
-
-def lexical_item(word: str, pos: str) -> TemplateItem:
-    return TemplateItem(LEXICAL, word, pos)
-
-
-def factor_item(pos: str) -> TemplateItem:
-    return TemplateItem(FACTOR, pos, pos)
-
-
-@dataclass(frozen=True)
 class Template:
-    """A chunk-derived token/factor sequence; the atomic unit of combination.
+    """A chunk-derived sequence of words and ``__POS__`` gaps; the atomic
+    unit of combination.
 
-    Identity (hashing/equality) is on ``(items, tag)`` only; ``count`` is the
+    ``pos`` holds the corpus POS tag of each item, so factoring knows what
+    to gap a word to; it is empty for templates read from ``inventory.tsv``.
+    Identity (hashing/equality) is on ``(items, tag, pos)``; ``count`` is the
     merged occurrence count within one inventory.
     """
 
-    items: tuple[TemplateItem, ...]
+    items: tuple[str, ...]
     tag: str
     count: int = field(default=1, compare=False)
-
-    def rendered(self) -> tuple[str, ...]:
-        return tuple(item.render() for item in self.items)
+    pos: tuple[str, ...] = ()
 
 
 @dataclass
@@ -210,7 +186,9 @@ def extract_templates(sentences: Iterable[AnnotatedSentence]) -> TemplateInvento
     for sentence in sentences:
         seq: list[int] = []
         for tag, toks in _chunks(sentence):
-            tpl = Template(tuple(lexical_item(t.surface, t.pos) for t in toks), tag)
+            tpl = Template(
+                tuple(t.surface for t in toks), tag, pos=tuple(t.pos for t in toks)
+            )
             at = index.get(tpl)
             if at is None:
                 at = len(templates)
@@ -222,7 +200,7 @@ def extract_templates(sentences: Iterable[AnnotatedSentence]) -> TemplateInvento
             seq.append(at)
         sequences.append(tuple(seq))
     merged = [
-        Template(t.items, t.tag, c) for t, c in zip(templates, counts)
+        Template(t.items, t.tag, c, t.pos) for t, c in zip(templates, counts)
     ]
     return TemplateInventory(merged, sequences, total)
 
@@ -238,27 +216,24 @@ def token_counts(sentences: Iterable[AnnotatedSentence]) -> CountTable:
 def inventory_lines(inv: TemplateInventory) -> Iterator[str]:
     """Serialize an inventory as ``count<TAB>tag<TAB>item item ...`` lines.
 
-    Sorted by descending count, then lexicographically; templates whose
-    rendered form coincides (same tag, same surface/factor strings, differing
-    only in hidden lexical POS) are aggregated.
+    Sorted by descending count, then lexicographically; templates with the
+    same tag and items, differing only in their corpus POS, are aggregated.
     """
     agg: dict[tuple[str, str], int] = {}
     for t in inv.templates:
-        key = (t.tag, " ".join(t.rendered()))
+        key = (t.tag, " ".join(t.items))
         agg[key] = agg.get(key, 0) + t.count
     for (tag, items), count in sorted(agg.items(), key=lambda kv: (-kv[1], kv[0])):
         yield "%d\t%s\t%s" % (count, tag, items)
 
 
-_FACTOR_MARK_RE = re.compile(r"^__(.+)__$")
-
-
 def parse_inventory_lines(lines: Iterable[str]) -> TemplateInventory:
     """Load a serialized inventory.
 
-    The text format carries no POS for lexical items and no per-sentence
-    sequences, so loaded lexical items have an empty ``pos`` and
-    ``sentence_sequences`` is empty; that is all generation needs.
+    The text format carries no POS and no per-sentence sequences, so loaded
+    templates have an empty ``pos`` and ``sentence_sequences`` is empty; that
+    is all generation needs.  Raises MalformedLine for a wrong field count,
+    a count that is not an integer >= 1, or an empty item.
     """
     templates: list[Template] = []
     total = 0
@@ -274,13 +249,11 @@ def parse_inventory_lines(lines: Iterable[str]) -> TemplateInventory:
             count = int(count_s)
         except ValueError:
             raise MalformedLine(lineno, line, "bad count %r" % count_s) from None
-        items = []
-        for piece in items_s.split(" "):
-            m = _FACTOR_MARK_RE.match(piece)
-            if m:
-                items.append(factor_item(m.group(1)))
-            else:
-                items.append(lexical_item(piece, ""))
-        templates.append(Template(tuple(items), tag, count))
+        if count < 1:
+            raise MalformedLine(lineno, line, "count must be >= 1, got %d" % count)
+        items = tuple(items_s.split(" "))
+        if "" in items:
+            raise MalformedLine(lineno, line, "empty item")
+        templates.append(Template(items, tag, count))
         total += count
     return TemplateInventory(templates, [], total)

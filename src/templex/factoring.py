@@ -6,7 +6,9 @@ Two thresholding strategies, both strict comparisons:
 * relative -- gap every word whose frequency rank is above the threshold
   (rank 1 is the most frequent word, so numerically larger means rarer).
 
-Words missing from the count table gap under either strategy.
+Words missing from the count table gap under either strategy.  A gapped
+word becomes the string ``__POS__`` of its corpus POS tag, so templates and
+the token stream stay plain strings.
 """
 
 from __future__ import annotations
@@ -14,15 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .corpus import (
-    FACTOR,
-    AnnotatedSentence,
-    CountTable,
-    Template,
-    TemplateInventory,
-    TemplateItem,
-    factor_item,
-)
+from .corpus import AnnotatedSentence, CountTable, Template, TemplateInventory
 
 ABSOLUTE = "absolute"
 RELATIVE = "relative"
@@ -45,18 +39,17 @@ class FactorPolicy:
         return table.rank(word) > self.threshold
 
 
-def factor_token(word: str, pos: str, table: CountTable, policy: FactorPolicy) -> TemplateItem:
+def factor_token(word: str, pos: str, table: CountTable, policy: FactorPolicy) -> str:
+    """The word itself, or its gap ``__POS__`` when the policy gaps it."""
     if policy.gaps(word, table):
-        return factor_item(pos)
-    return TemplateItem("lex", word, pos)
+        return "__%s__" % pos
+    return word
 
 
 def _factor_template(t: Template, table: CountTable, policy: FactorPolicy) -> Template:
-    items = tuple(
-        item if item.kind == FACTOR else factor_token(item.text, item.pos, table, policy)
-        for item in t.items
-    )
-    return Template(items, t.tag, t.count)
+    # A gap is no corpus word, so it counts 0 and re-gaps to itself.
+    items = tuple(factor_token(w, p, table, policy) for w, p in zip(t.items, t.pos, strict=True))
+    return Template(items, t.tag, t.count, t.pos)
 
 
 def factor_inventory(
@@ -77,7 +70,7 @@ def factor_inventory(
             counts.append(0)
         counts[at] += t.count
         remap.append(at)
-    templates = [Template(t.items, t.tag, c) for t, c in zip(merged, counts)]
+    templates = [Template(t.items, t.tag, c, t.pos) for t, c in zip(merged, counts)]
     sequences = [tuple(remap[i] for i in seq) for seq in inv.sentence_sequences]
     return TemplateInventory(templates, sequences, inv.total)
 
@@ -87,6 +80,6 @@ def factored_token_stream(
 ) -> list[list[str]]:
     """Render each sentence with rare words gapped, for token-model training."""
     return [
-        [factor_token(t.surface, t.pos, table, policy).render() for t in s.tokens]
+        [factor_token(t.surface, t.pos, table, policy) for t in s.tokens]
         for s in sentences
     ]

@@ -41,7 +41,7 @@ class EmptyInventory(ValueError):
 @dataclass
 class Chromosome:
     templates: tuple[Template, ...]
-    surface: tuple[str, ...]  # concatenated rendered items
+    surface: tuple[str, ...]  # concatenated template items
     signature: tuple[str, ...]  # one chunk tag per template
     fitness: float | None = field(default=None, compare=False)
     # (token scorer, head id, tail state), filled by the junction gate
@@ -52,13 +52,13 @@ class Chromosome:
 
 
 def make_chromosome(templates: Sequence[Template]) -> Chromosome:
-    surface = tuple(s for t in templates for s in t.rendered())
+    surface = tuple(s for t in templates for s in t.items)
     signature = tuple(t.tag for t in templates)
     return Chromosome(tuple(templates), surface, signature)
 
 
 def single(template: Template) -> Chromosome:
-    return Chromosome((template,), template.rendered(), (template.tag,))
+    return Chromosome((template,), template.items, (template.tag,))
 
 
 @dataclass(frozen=True)

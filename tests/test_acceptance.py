@@ -14,7 +14,7 @@ import time
 import pytest
 
 from templex import cli
-from templex.corpus import Template, extract_templates, lexical_item
+from templex.corpus import Template, extract_templates
 from templex.factoring import FactorPolicy, factor_inventory
 from templex.ga import GAConfig, crossover, fitness, make_chromosome, mutate, run
 from templex.ngram import count_ngrams, read_arpa_file
@@ -101,10 +101,10 @@ def test_crossover_produces_exact_juxtaposed_surface():
     """Joining the chromosome "in the NN" with "VBZ a NN" yields exactly
     "in the NN VBZ a NN"."""
     left = make_chromosome(
-        [Template(tuple(lexical_item(w, "") for w in ("in", "the", "NN")), "PP")]
+        [Template(("in", "the", "NN"), "PP")]
     )
     right = make_chromosome(
-        [Template(tuple(lexical_item(w, "") for w in ("VBZ", "a", "NN")), "VP")]
+        [Template(("VBZ", "a", "NN"), "VP")]
     )
     child = crossover(left, right)
     assert " ".join(child.surface) == "in the NN VBZ a NN"

@@ -485,6 +485,21 @@ def test_inspect_top_clamps_to_population(tmp_path, capsys):
     assert stdout.index("b  [VP]") < stdout.index("a  [NP]")
 
 
+def test_inspect_top_below_1_exits_1(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / cli.POPULATION_FILE).write_text("a\tNP\t0.5\nb\tVP\t0.9\n", encoding="utf-8")
+    (out / cli.STATS_FILE).write_text(
+        "generation,mean_fitness,max_fitness,mean_len,std_len\n0,0.7,0.9,1.0,0.0\n",
+        encoding="utf-8",
+    )
+    for top in ("0", "-1"):
+        assert main(["inspect", str(out), "--top", top]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: --top must be >= 1, got %s" % top]
+
+
 # ------------------------------------------------------------------ exit codes
 
 

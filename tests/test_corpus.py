@@ -14,7 +14,6 @@ from templex.corpus import (
     Template,
     extract_templates,
     inventory_lines,
-    lexical_item,
     parse_conll,
     parse_inventory_lines,
     token_counts,
@@ -77,7 +76,7 @@ def test_extract_forced_by_bio_segmentation():
         )
     )
     inv = extract_templates([sent])
-    got = {(" ".join(t.rendered()), t.tag, t.count) for t in inv.templates}
+    got = {(" ".join(t.items), t.tag, t.count) for t in inv.templates}
     assert got == {("the cat", "NP", 1), ("sat", "VP", 1)}
     assert inv.total == 2
     assert inv.sentence_sequences == [(0, 1)]
@@ -112,7 +111,7 @@ MINI_INVENTORY = {
 
 def test_mini_fixture_inventory_matches_hand_enumeration(mini_sentences):
     inv = extract_templates(mini_sentences)
-    got = {(" ".join(t.rendered()), t.tag, t.count) for t in inv.templates}
+    got = {(" ".join(t.items), t.tag, t.count) for t in inv.templates}
     assert got == MINI_INVENTORY
     assert inv.total == 18
     assert sum(t.count for t in inv.templates) == inv.total
@@ -122,7 +121,7 @@ def test_o_tokens_become_single_templates(mini_sentences):
     inv = extract_templates(mini_sentences)
     o_templates = [t for t in inv.templates if t.tag == "O"]
     assert len(o_templates) == 1
-    assert o_templates[0].rendered() == (".",)
+    assert o_templates[0].items == (".",)
     assert o_templates[0].count == 3
 
 
@@ -187,7 +186,7 @@ def test_sentences_reconstruct_from_template_sequences(desk_sentences, desk_inve
     for sent, seq in zip(desk_sentences, desk_inventory.sentence_sequences):
         rebuilt = []
         for i in seq:
-            rebuilt.extend(item.text for item in desk_inventory.templates[i].items)
+            rebuilt.extend(desk_inventory.templates[i].items)
         assert rebuilt == [t.surface for t in sent.tokens]
 
 
@@ -220,9 +219,9 @@ def test_inventory_roundtrip_through_text(desk_inventory):
     loaded = parse_inventory_lines(lines)
     assert len(loaded.templates) == len(lines)
     original = sorted(
-        (t.tag, " ".join(t.rendered()), t.count) for t in desk_inventory.templates
+        (t.tag, " ".join(t.items), t.count) for t in desk_inventory.templates
     )
-    reloaded = sorted((t.tag, " ".join(t.rendered()), t.count) for t in loaded.templates)
+    reloaded = sorted((t.tag, " ".join(t.items), t.count) for t in loaded.templates)
     assert original == reloaded
     assert loaded.total == desk_inventory.total
 
@@ -232,11 +231,15 @@ def test_parse_inventory_rejects_bad_lines():
         parse_inventory_lines(["1\tNP"])
     with pytest.raises(MalformedLine):
         parse_inventory_lines(["x\tNP\tthe cat"])
+    # counts below 1 and empty items only come from a damaged file
+    for line in ["0\tNP\tthe cat", "-4\tVP\truns", "3\tNP\t", "2\tPP\tin  the"]:
+        with pytest.raises(MalformedLine):
+            parse_inventory_lines([line])
 
 
 def test_template_identity_ignores_count():
-    a = Template((lexical_item("the", "DT"),), "NP", 1)
-    b = Template((lexical_item("the", "DT"),), "NP", 7)
+    a = Template(("the",), "NP", 1, ("DT",))
+    b = Template(("the",), "NP", 7, ("DT",))
     assert a == b and hash(a) == hash(b)
 
 
@@ -263,10 +266,6 @@ def test_random_bio_sentences_roundtrip(toks):
     sents = parse_conll(io.StringIO(text))
     assert len(sents) == 1
     inv = extract_templates(sents)
-    rebuilt = [
-        item.text
-        for i in inv.sentence_sequences[0]
-        for item in inv.templates[i].items
-    ]
+    rebuilt = [item for i in inv.sentence_sequences[0] for item in inv.templates[i].items]
     assert rebuilt == [t[0] for t in toks]
     assert inv.total == len(inv.sentence_sequences[0])

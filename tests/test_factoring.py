@@ -10,7 +10,7 @@ from templex.corpus import (
     CountTable,
     Template,
     extract_templates,
-    lexical_item,
+    inventory_lines,
     token_counts,
 )
 from templex.factoring import (
@@ -27,15 +27,13 @@ def _table(**counts):
 
 def test_absolute_count_below_threshold_factors():
     table = _table(w=99)
-    item = factor_token("w", "NN", table, FactorPolicy("absolute", 100))
-    assert item.kind == "factor" and item.text == "NN"
+    assert factor_token("w", "NN", table, FactorPolicy("absolute", 100)) == "__NN__"
 
 
 def test_absolute_count_at_threshold_stays_lexical():
     # "below a threshold" is strict: the boundary value is kept
     table = _table(w=100)
-    item = factor_token("w", "NN", table, FactorPolicy("absolute", 100))
-    assert item.kind == "lex" and item.text == "w"
+    assert factor_token("w", "NN", table, FactorPolicy("absolute", 100)) == "w"
 
 
 def test_relative_rank_above_threshold_factors():
@@ -43,16 +41,15 @@ def test_relative_rank_above_threshold_factors():
     table = CountTable.from_counts(counts)
     word = "w1000"  # rank 1001
     assert table.rank(word) == 1001
-    item = factor_token(word, "JJ", table, FactorPolicy("relative", 1000))
-    assert item.kind == "factor" and item.text == "JJ"
+    assert factor_token(word, "JJ", table, FactorPolicy("relative", 1000)) == "__JJ__"
     boundary = "w0999"  # rank 1000 stays lexical
-    assert factor_token(boundary, "JJ", table, FactorPolicy("relative", 1000)).kind == "lex"
+    assert factor_token(boundary, "JJ", table, FactorPolicy("relative", 1000)) == boundary
 
 
 def test_unseen_words_factor_under_any_policy():
     table = _table(seen=5)
     for policy in (FactorPolicy("absolute", 1), FactorPolicy("relative", 10**9)):
-        assert factor_token("unseen", "VB", table, policy).kind == "factor"
+        assert factor_token("unseen", "VB", table, policy) == "__VB__"
 
 
 def test_policy_validation():
@@ -84,7 +81,7 @@ def test_newly_identical_templates_merge():
     out = factor_inventory(inv, table, FactorPolicy("absolute", 2))
     assert len(out.templates) == 1
     merged = out.templates[0]
-    assert merged.rendered() == ("the", "__NN__")
+    assert merged.items == ("the", "__NN__")
     assert merged.tag == "NP" and merged.count == 2
     assert out.sentence_sequences == [(0,), (0,)]
     assert out.total == inv.total
@@ -111,15 +108,13 @@ def test_fixture_factoring_matches_brute_force(desk_sentences, desk_inventory, d
     expected = Counter()
     for t in desk_inventory.templates:
         rendered = tuple(
-            "__%s__" % item.pos
-            if item.kind == "factor" or desk_table.count(item.text) < 2
-            else item.text
-            for item in t.items
+            "__%s__" % pos if desk_table.count(word) < 2 else word
+            for word, pos in zip(t.items, t.pos)
         )
         expected[(t.tag, rendered)] += t.count
     got = Counter()
     for t in out.templates:
-        got[(t.tag, t.rendered())] += t.count
+        got[(t.tag, t.items)] += t.count
     assert got == expected
 
 
@@ -151,19 +146,32 @@ def test_monotonicity_on_fixture(desk_inventory, desk_table):
     assert unique(FactorPolicy("relative", 50)) >= unique(FactorPolicy("relative", 10))
 
 
-def test_factor_items_pass_through_unchanged(desk_table):
-    t = Template(
-        (lexical_item("the", "DT"), lexical_item("merger", "NN")), "NP", 1
-    )
+def test_gaps_pass_through_unchanged(desk_table):
+    t = Template(("the", "merger"), "NP", 1, ("DT", "NN"))
     table = CountTable.from_counts({"the": 50})
     inv_once = factor_inventory(
         extract_templates([]), table, FactorPolicy("absolute", 2)
     )
     assert inv_once.templates == []
-    # a factor item keeps its POS regardless of the policy applied on top
+    # a gap keeps its POS regardless of the policy applied on top
     from templex.factoring import _factor_template
 
     ft = _factor_template(t, table, FactorPolicy("absolute", 2))
-    assert ft.rendered() == ("the", "__NN__")
+    assert ft.items == ("the", "__NN__")
     ft2 = _factor_template(ft, table, FactorPolicy("absolute", 10**9))
-    assert ft2.rendered() == ("__DT__", "__NN__")
+    assert ft2.items == ("__DT__", "__NN__")
+
+
+def test_pos_ambiguous_templates_stay_apart():
+    # the same word under two POS tags: one line of text, two templates that
+    # factor to different gaps
+    sents = [
+        AnnotatedSentence((AnnotatedToken("plan", "NN", "B-NP"),)),
+        AnnotatedSentence((AnnotatedToken("plan", "VB", "B-NP"),)),
+    ]
+    inv = extract_templates(sents)
+    assert len(inv.templates) == 2
+    assert list(inventory_lines(inv)) == ["2\tNP\tplan"]
+    out = factor_inventory(inv, token_counts(sents), FactorPolicy("absolute", 3))
+    assert len(out.templates) == 2
+    assert list(inventory_lines(out)) == ["1\tNP\t__NN__", "1\tNP\t__VB__"]

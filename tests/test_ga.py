@@ -6,7 +6,7 @@ import random
 import pytest
 from scipy import stats as sps
 
-from templex.corpus import Template, extract_templates, lexical_item
+from templex.corpus import Template, extract_templates
 from templex.ga import (
     Chromosome,
     EmptyInventory,
@@ -30,7 +30,7 @@ from templex.ngram import NGramModel, train
 
 
 def lex_template(words, tag):
-    return Template(tuple(lexical_item(w, "") for w in words), tag)
+    return Template(tuple(words), tag)
 
 
 def default_cfg(**kw):
@@ -142,7 +142,7 @@ def random_chromosomes(inventory, rng, n):
     """Chromosomes of 1-4 templates, half of them drawn from the 1-token
     templates so that order-3 tails often span two or more templates."""
     ts = inventory.templates
-    ones = [t for t in ts if len(t.rendered()) == 1]
+    ones = [t for t in ts if len(t.items) == 1]
     chroms = []
     for _ in range(n):
         picks = [
@@ -165,7 +165,7 @@ def test_junction_equals_string_query_exactly(
     lm1 = train(desk_token_seqs, 1)
     chroms = random_chromosomes(desk_factored_inventory, random.Random(34), 40)
     # some tails cross a template boundary
-    assert any(len(c.templates[-1].rendered()) == 1 < len(c.surface) for c in chroms)
+    assert any(len(c.templates[-1].items) == 1 < len(c.surface) for c in chroms)
     # alternating models on the same chromosomes refills the cached ends
     for lm in (token_lm3, lm1, token_lm3, lm1):
         for left in chroms:
@@ -377,7 +377,7 @@ def rejecting_model(vocab_words):
 
 
 def test_rejecting_junctions_produce_no_offspring(desk_factored_inventory, sig_lm5):
-    words = {s for t in desk_factored_inventory.templates for s in t.rendered()}
+    words = {s for t in desk_factored_inventory.templates for s in t.items}
     cfg = default_cfg(population_size=12, tournament_size=4, nbest=4)
     rng = random.Random(33)
     state = init_population(desk_factored_inventory, cfg, sig_lm5, rng)
@@ -430,7 +430,7 @@ def test_generation_structure_is_parents_plus_offspring(
 
 
 def test_rejecting_model_falls_back_to_parents(desk_factored_inventory, sig_lm5):
-    words = {s for t in desk_factored_inventory.templates for s in t.rendered()}
+    words = {s for t in desk_factored_inventory.templates for s in t.items}
     cfg = default_cfg(population_size=6, tournament_size=3, nbest=3)
     rng = random.Random(44)
     state = init_population(desk_factored_inventory, cfg, sig_lm5, rng)
