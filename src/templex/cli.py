@@ -15,9 +15,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
-import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .corpus import (
@@ -29,8 +28,15 @@ from .corpus import (
     parse_inventory_lines,
     token_counts,
 )
-from .factoring import ABSOLUTE, RELATIVE, FactorPolicy, factor_inventory, factored_token_stream
-from .ga import GAConfig, population_lines, run, stats_csv_lines
+from .factoring import (
+    ABSOLUTE,
+    RELATIVE,
+    FactorPolicy,
+    bare_factors,
+    factor_inventory,
+    factored_token_stream,
+)
+from .ga import STATS_HEADER, GAConfig, population_lines, run, stats_csv_lines
 from .kernels import DEFAULT_BACKEND, available_backends
 from .ngram import MalformedArpa, read_arpa_file, train, write_arpa_file
 
@@ -84,43 +90,28 @@ def parse_config_text(text: str, source: str) -> dict[str, str]:
     return values
 
 
+# Every GAConfig field is the config key ``ga.<field>``, except rng_seed,
+# which is ``seed``; the key takes the field's default and its value type.
+_GA_FIELDS = {("seed" if f.name == "rng_seed" else "ga." + f.name): f for f in fields(GAConfig)}
+
 _KNOWN_KEYS = frozenset(
-    {
-        "corpus",
-        "outdir",
-        "factor.mode",
-        "factor.threshold",
-        "token_lm_order",
-        "signature_lm_order",
-        "ga.target_length",
-        "ga.population_size",
-        "ga.tournament_size",
-        "ga.nbest",
-        "ga.mutation_p",
-        "ga.generations",
-        "seed",
-    }
+    {"corpus", "outdir", "factor.mode", "factor.threshold", "token_lm_order", "signature_lm_order"}
+    | _GA_FIELDS.keys()
 )
 
+_TYPE_NAMES = {int: "an integer", float: "a number"}
 
-def _int(values: dict[str, str], key: str, default: int) -> int:
+
+def _value(values: dict[str, str], key: str, default):
+    """The value of ``key`` parsed as the type of ``default``, or ``default``."""
     raw = values.get(key)
     if raw is None:
         return default
+    kind = type(default)
     try:
-        return int(raw)
+        return kind(raw)
     except ValueError:
-        raise ConfigError("%s must be an integer, got %r" % (key, raw)) from None
-
-
-def _float(values: dict[str, str], key: str, default: float) -> float:
-    raw = values.get(key)
-    if raw is None:
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError("%s must be a number, got %r" % (key, raw)) from None
+        raise ConfigError("%s must be %s, got %r" % (key, _TYPE_NAMES[kind], raw)) from None
 
 
 def load_run_config(path: Path) -> RunConfig:
@@ -158,25 +149,19 @@ def load_run_config(path: Path) -> RunConfig:
         if "factor.threshold" not in values:
             raise ConfigError("factor.mode=%s requires factor.threshold" % mode)
         try:
-            policy = FactorPolicy(mode, _int(values, "factor.threshold", 0))
+            policy = FactorPolicy(mode, _value(values, "factor.threshold", 0))
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
     else:
         raise ConfigError("factor.mode must be none, absolute, or relative (got %r)" % mode)
 
-    token_order = _int(values, "token_lm_order", 3)
-    sig_order = _int(values, "signature_lm_order", 5)
+    token_order = _value(values, "token_lm_order", 3)
+    sig_order = _value(values, "signature_lm_order", 5)
     if token_order < 1 or sig_order < 1:
         raise ConfigError("model orders must be >= 1")
     try:
         ga = GAConfig(
-            target_length=_int(values, "ga.target_length", 5),
-            population_size=_int(values, "ga.population_size", 1000),
-            tournament_size=_int(values, "ga.tournament_size", 10),
-            nbest=_int(values, "ga.nbest", 10),
-            mutation_p=_float(values, "ga.mutation_p", 0.05),
-            generations=_int(values, "ga.generations", 100),
-            rng_seed=_int(values, "seed", 0),
+            **{f.name: _value(values, key, f.default) for key, f in _GA_FIELDS.items()}
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -208,13 +193,8 @@ def resolved_config_lines(cfg: RunConfig):
         yield "factor.threshold=%d" % cfg.policy.threshold
     yield "token_lm_order=%d" % cfg.token_lm_order
     yield "signature_lm_order=%d" % cfg.signature_lm_order
-    yield "ga.target_length=%d" % cfg.ga.target_length
-    yield "ga.population_size=%d" % cfg.ga.population_size
-    yield "ga.tournament_size=%d" % cfg.ga.tournament_size
-    yield "ga.nbest=%d" % cfg.ga.nbest
-    yield "ga.mutation_p=%s" % repr(cfg.ga.mutation_p)
-    yield "ga.generations=%d" % cfg.ga.generations
-    yield "seed=%d" % cfg.ga.rng_seed
+    for key, f in _GA_FIELDS.items():
+        yield "%s=%r" % (key, getattr(cfg.ga, f.name))
 
 
 def _write_lines(path: Path, lines) -> None:
@@ -342,14 +322,6 @@ def cmd_generate(cfg: RunConfig) -> int:
 
 
 _SPARK = "▁▂▃▄▅▆▇█"
-_FACTOR_MARK_RE = re.compile(r"^__(.+)__$")
-
-
-def bare_factors(surface: str) -> str:
-    """Display form: factor markers shown as their bare POS (``__NN__`` -> ``NN``)."""
-    return " ".join(
-        m.group(1) if (m := _FACTOR_MARK_RE.match(tok)) else tok for tok in surface.split(" ")
-    )
 
 
 def sparkline(values) -> str:
@@ -395,7 +367,7 @@ def cmd_inspect(result_dir: Path, top: int) -> int:
     try:
         with open(stats_path, encoding="utf-8") as fh:
             header = fh.readline().rstrip("\n")
-            if header.split(",")[:4] != ["generation", "mean_fitness", "max_fitness", "mean_len"]:
+            if header != STATS_HEADER:
                 raise DataError("%s: unrecognized stats header %r" % (stats_path, header))
             for lineno, raw in enumerate(fh, start=2):
                 line = raw.strip()

@@ -233,7 +233,8 @@ def parse_inventory_lines(lines: Iterable[str]) -> TemplateInventory:
     The text format carries no POS and no per-sentence sequences, so loaded
     templates have an empty ``pos`` and ``sentence_sequences`` is empty; that
     is all generation needs.  Raises MalformedLine for a wrong field count,
-    a count that is not an integer >= 1, or an empty item.
+    a count that is not an integer >= 1, an empty tag or one containing
+    whitespace, or an empty item.
     """
     templates: list[Template] = []
     total = 0
@@ -251,6 +252,8 @@ def parse_inventory_lines(lines: Iterable[str]) -> TemplateInventory:
             raise MalformedLine(lineno, line, "bad count %r" % count_s) from None
         if count < 1:
             raise MalformedLine(lineno, line, "count must be >= 1, got %d" % count)
+        if tag.split() != [tag]:
+            raise MalformedLine(lineno, line, "tag must be one word, got %r" % tag)
         items = tuple(items_s.split(" "))
         if "" in items:
             raise MalformedLine(lineno, line, "empty item")

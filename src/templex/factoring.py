@@ -13,6 +13,7 @@ the token stream stay plain strings.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -44,6 +45,14 @@ def factor_token(word: str, pos: str, table: CountTable, policy: FactorPolicy) -
     if policy.gaps(word, table):
         return "__%s__" % pos
     return word
+
+
+_GAP_RE = re.compile(r"^__(.+)__$")
+
+
+def bare_factors(surface: str) -> str:
+    """Display form: gaps shown as their bare POS (``__NN__`` -> ``NN``)."""
+    return " ".join(m.group(1) if (m := _GAP_RE.match(tok)) else tok for tok in surface.split(" "))
 
 
 def _factor_template(t: Template, table: CountTable, policy: FactorPolicy) -> Template:

@@ -67,9 +67,11 @@ class GAConfig:
 
     The parent/offspring split is fixed at 50-50: each new generation is the
     fittest half of the parents plus the fittest accumulated offspring.
+    Every field is also a config-file key of the command line, ``ga.<field>``
+    (``seed`` for rng_seed), with the same default.
     """
 
-    target_length: int
+    target_length: int = 5
     population_size: int = 1000
     tournament_size: int = 10
     nbest: int = 10

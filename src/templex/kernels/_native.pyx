@@ -10,7 +10,7 @@ from libc.stdint cimport int64_t
 from libcpp.unordered_map cimport unordered_map
 from libcpp.vector cimport vector
 
-cdef double LOG_FLOOR = -99.0
+cdef double LOG_FLOOR = -99.0  # templex.ngram.counts.LOG_FLOOR as a C constant
 
 
 cdef class NativeScorer:

@@ -6,9 +6,8 @@ tables, so both backends return bit-identical results.
 
 from __future__ import annotations
 
+from ..ngram.counts import LOG_FLOOR
 from .tables import ScorerTables
-
-LOG_FLOOR = -99.0
 
 
 class PyScorer:

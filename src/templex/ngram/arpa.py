@@ -10,10 +10,12 @@ Output is sorted and fully deterministic.
 
 from __future__ import annotations
 
+import math
 import re
+from collections import Counter
 from typing import IO, Iterable
 
-from .counts import UNK, NGram
+from .counts import LOG_FLOOR, UNK, NGram
 from .model import NGramModel
 
 
@@ -51,7 +53,8 @@ def read_arpa(stream: Iterable[str]) -> NGramModel:
     """Parse an ARPA file (ours or an external toolkit's) into a model.
 
     A ``<unk>`` unigram becomes the model's out-of-vocabulary score rather
-    than a vocabulary member.
+    than a vocabulary member.  A NaN, a log probability above 0 or a backoff
+    weight of +inf raises MalformedArpa with its line number.
     """
     lines = enumerate(stream, start=1)
     declared: dict[int, int] = {}
@@ -102,21 +105,26 @@ def read_arpa(stream: Iterable[str]) -> NGramModel:
             lp = float(parts[0])
         except ValueError:
             raise MalformedArpa(lineno, "bad log probability %r" % parts[0]) from None
+        if not lp <= 0.0:  # also catches NaN
+            raise MalformedArpa(lineno, "log probability %r is not <= 0" % parts[0])
         gram = tuple(parts[1 : current + 1])
         logprobs[gram] = lp
         if len(parts) == current + 2:
             try:
-                backoffs[gram] = float(parts[current + 1])
+                bo = float(parts[current + 1])
             except ValueError:
                 raise MalformedArpa(lineno, "bad backoff weight %r" % parts[current + 1]) from None
+            if not bo < math.inf:  # also catches NaN
+                raise MalformedArpa(lineno, "backoff weight %r is not < +inf" % parts[current + 1])
+            backoffs[gram] = bo
     if current != -1:
         raise MalformedArpa(lineno, "missing \\end\\ marker")
+    found = Counter(map(len, logprobs))
     for k, n in declared.items():
-        have = sum(1 for g in logprobs if len(g) == k)
-        if k not in seen_orders or have != n:
-            raise MalformedArpa(lineno, "declared %d %d-grams, found %d" % (n, k, have))
+        if k not in seen_orders or found[k] != n:
+            raise MalformedArpa(lineno, "declared %d %d-grams, found %d" % (n, k, found[k]))
 
-    unk_log10 = logprobs.get((UNK,), -99.0)
+    unk_log10 = logprobs.get((UNK,), LOG_FLOOR)
     vocab = frozenset(g[0] for g in logprobs if len(g) == 1 and g[0] != UNK)
     return NGramModel(order, vocab, logprobs, backoffs, unk_log10)
 

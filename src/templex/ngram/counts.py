@@ -15,6 +15,8 @@ from typing import Iterable, Sequence
 BOS = "<s>"
 EOS = "</s>"
 UNK = "<unk>"
+# log10 score of anything a model cannot score better; no query returns -inf
+LOG_FLOOR = -99.0
 
 
 class EmptyCorpus(ValueError):

@@ -13,9 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .. import kernels
-from .counts import NGram
-
-LOG_FLOOR = -99.0
+from .counts import LOG_FLOOR, NGram
 
 
 @dataclass

@@ -158,6 +158,11 @@ def missing(text, what, repl=""):
         (lambda t: t.replace("-0.1000\ta b", "-0.1000\ta b c d"), 12, "expected 2 tokens"),
         (lambda t: t.replace("-0.6021\tb", "minus\tb"), 7, "bad log probability"),
         (lambda t: t.replace("-0.2000", "weight"), 6, "bad backoff weight"),
+        (lambda t: t.replace("-0.6021\tb", "500.0\tb"), 7, "log probability '500.0' is not <= 0"),
+        (lambda t: t.replace("-0.6021\tb", "nan\tb"), 7, "log probability 'nan' is not <= 0"),
+        (lambda t: t.replace("-0.1500\t<s> a", "inf\t<s> a"), 13, "log probability 'inf' is not <= 0"),
+        (lambda t: t.replace("-0.2000", "nan"), 6, "backoff weight 'nan' is not < +inf"),
+        (lambda t: t.replace("<s>\t-0.1000", "<s>\t+inf"), 8, "backoff weight '+inf' is not < +inf"),
         (lambda t: t.replace("\n\\end\\\n", "\n"), 14, "missing \\end\\"),
         (lambda t: t.replace("ngram 2=2", "ngram 2=3"), 15, "declared 3 2-grams, found 2"),
     ],
@@ -167,6 +172,13 @@ def test_malformed_inputs_report_line_numbers(mutate, lineno, fragment):
         read_arpa(io.StringIO(mutate(HAND_BIGRAM)))
     assert exc.value.lineno == lineno
     assert fragment in str(exc.value)
+
+
+def test_minus_infinity_is_accepted():
+    # probability 0 and backoff weight 0 are legal, if odd, ARPA values
+    text = HAND_BIGRAM.replace("-0.6021\tb", "-inf\tb").replace("-0.2000", "-inf")
+    m = read_arpa(io.StringIO(text))
+    assert m.logprobs[("b",)] == m.backoffs[("a",)] == float("-inf")
 
 
 def test_empty_stream_rejected():

@@ -20,6 +20,7 @@ from templex.cli import (
     parse_config_text,
     sparkline,
 )
+from templex.ga import GAConfig
 
 CHECKOUT = Path(__file__).resolve().parent.parent
 
@@ -138,6 +139,7 @@ def test_defaults_applied(tmp_path, data_dir):
     assert cfg.ga.generations == 100
     assert cfg.ga.mutation_p == 0.05
     assert cfg.ga.rng_seed == 0
+    assert cfg.ga == GAConfig()
 
 
 # ----------------------------------------------------------------- config hash
@@ -303,6 +305,24 @@ def test_resolved_config_is_complete_key_value(tmp_path, data_dir):
     assert set(resolved) <= cli._KNOWN_KEYS
 
 
+ALL_KEYS = dict(DESK_KEYS, **{"factor.mode": "relative", "factor.threshold": "7",
+                              "ga.target_length": "3", "ga.mutation_p": "0.125", "seed": "42"})
+
+
+@pytest.mark.parametrize("kv", [ALL_KEYS, {}], ids=["every-key", "defaults"])
+def test_resolved_config_loads_back_to_the_same_config(tmp_path, data_dir, kv):
+    path = tmp_path / "run.cfg"
+    body = ["corpus=%s" % (data_dir / "desk.conll"), "outdir=out"]
+    path.write_text("\n".join(body + ["%s=%s" % item for item in kv.items()]) + "\n", encoding="utf-8")
+    cfg = load_run_config(path)
+    resolved = tmp_path / "again" / "config.resolved"
+    resolved.parent.mkdir()
+    resolved.write_text("\n".join(cli.resolved_config_lines(cfg)) + "\n", encoding="utf-8")
+    assert load_run_config(resolved) == cfg
+    if kv:
+        assert set(parse_config_text(resolved.read_text(encoding="utf-8"), "r")) == cli._KNOWN_KEYS
+
+
 # -------------------------------------------------------------------- generate
 
 
@@ -383,6 +403,30 @@ def test_generate_corrupt_model_exits_2(tmp_path, data_dir, capsys):
     (tmp_path / "out" / cli.TOKEN_LM_FILE).write_text("\\data\\\nnot arpa\n", encoding="utf-8")
     assert main(["generate", "--config", str(path)]) == 2
     assert "bad model file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["1\t\tthe", "2\tN P\tcat"])
+def test_generate_bad_inventory_tag_exits_2(tmp_path, data_dir, capsys, bad):
+    path = trained_config(tmp_path, data_dir)
+    with open(tmp_path / "out" / cli.INVENTORY_FILE, "a", encoding="utf-8") as fh:
+        fh.write(bad + "\n")
+    capsys.readouterr()
+    assert main(["generate", "--config", str(path)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "tag" in lines[0], lines
+
+
+def test_generate_out_of_range_logprob_exits_2(tmp_path, data_dir, capsys):
+    path = trained_config(tmp_path, data_dir)
+    arpa = tmp_path / "out" / cli.TOKEN_LM_FILE
+    lines = arpa.read_text(encoding="utf-8").splitlines()
+    at = lines.index("\\1-grams:") + 1
+    lines[at] = "500.0\t" + lines[at].split("\t", 1)[1]
+    arpa.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["generate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: bad model file: line %d: log probability '500.0' is not <= 0" % (at + 1)]
 
 
 def test_generate_empty_inventory_exits_2(tmp_path, data_dir):

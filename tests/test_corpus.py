@@ -231,8 +231,10 @@ def test_parse_inventory_rejects_bad_lines():
         parse_inventory_lines(["1\tNP"])
     with pytest.raises(MalformedLine):
         parse_inventory_lines(["x\tNP\tthe cat"])
-    # counts below 1 and empty items only come from a damaged file
-    for line in ["0\tNP\tthe cat", "-4\tVP\truns", "3\tNP\t", "2\tPP\tin  the"]:
+    # counts below 1, empty items and blank or spaced tags only come from a
+    # damaged file
+    for line in ["0\tNP\tthe cat", "-4\tVP\truns", "3\tNP\t", "2\tPP\tin  the",
+                 "1\t\tthe", "2\tN P\tcat"]:
         with pytest.raises(MalformedLine):
             parse_inventory_lines([line])
 
