@@ -36,7 +36,7 @@ from .factoring import (
     factor_inventory,
     factored_token_stream,
 )
-from .ga import STATS_HEADER, GAConfig, population_lines, run, stats_csv_lines
+from .ga import STATS_HEADER, FitnessOverflow, GAConfig, population_lines, run, stats_csv_lines
 from .kernels import DEFAULT_BACKEND, available_backends
 from .ngram import MalformedArpa, read_arpa_file, train, write_arpa_file
 
@@ -308,7 +308,10 @@ def cmd_generate(cfg: RunConfig) -> int:
     except MalformedArpa as exc:
         raise DataError("bad model file: %s" % exc) from None
 
-    result = run(cfg.ga, inventory, token_lm, sig_lm)
+    try:
+        result = run(cfg.ga, inventory, token_lm, sig_lm)
+    except FitnessOverflow as exc:
+        raise DataError("%s: %s; check its backoff weights" % (outdir / SIGNATURE_LM_FILE, exc)) from None
     _write_lines(outdir / STATS_FILE, stats_csv_lines(result.stats))
     _write_lines(outdir / POPULATION_FILE, population_lines(result.population))
     _write_lines(outdir / RESOLVED_CONFIG_FILE, resolved_config_lines(cfg))

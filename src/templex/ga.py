@@ -12,7 +12,33 @@ caches the token scorer it was computed for, the id of the first surface
 token and the scorer's state after the last order - 1 surface tokens.  It
 is filled on a chromosome's first gate use and refilled when a different
 scorer asks, so a tried pair costs one ``kernel.score`` and no string
-encoding, slicing or context walk.
+encoding, slicing or context walk.  ``crossover`` composes a child's ends:
+the head is the left parent's and, when the right parent has at least
+order - 1 surface tokens, the tail is the right parent's; otherwise the
+child starts without ends.
+
+Fitness runs on a ``Summary`` of the signature's walk under the signature
+scorer, carried as ``summary``: the encoded ids, the open per-item log10
+probabilities, the open total, the boundary-closed total before the end
+symbol, the closed logprobs of the first ``span`` items, and the open and
+closed end states.  ``fitness`` builds it by one walk when a chromosome has
+none for its scorer (a fresh draw); ``crossover`` composes a child's from
+its parents' summaries: it takes the left parent's totals, scores only the
+right parent's first ``span`` ids again, from the left open end state and,
+when it differs, from the left closed one, then adds the right parent's
+remaining logprobs to both totals.  A child thus costs ``span`` kernel steps
+(twice at most) and float additions, not a walk of its whole signature.
+
+The composed summary is bit-identical to a fresh walk of the child.  A
+kernel state is the longest stored context that ends the history, at most
+order - 1 items long, so once ``span`` items of the right parent are read,
+every further logprob and the end state are the right parent's own.  Both
+totals are left folds from 0.0, so the left parent's totals are exact
+prefixes of the child's, and the right parent's remaining logprobs are added
+one at a time, in order: a pre-summed suffix, or ``sum()`` (compensated
+since Python 3.12), could change the last bit.  ``span`` is order - 1 but at
+least 1, because an ARPA file may give an order-1 model's unigrams backoff
+weights, and then the state carries the last item.
 
 Reproducibility contract: all randomness flows through one ``random.Random``.
 A tournament round consumes, in order: one ``sample()`` of tournament_size
@@ -27,15 +53,95 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from statistics import fmean, pstdev
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .corpus import Template, TemplateInventory
+from .kernels import ModelScorer
 from .ngram.model import NGramModel
 
 
 class EmptyInventory(ValueError):
     """Cannot evolve over an inventory with no templates."""
+
+
+class FitnessOverflow(ArithmeticError):
+    """A model scores a signature so far above probability one that its
+    fitness, 10**(-cost), is beyond the float range."""
+
+
+class Summary(NamedTuple):
+    """One signature's walk under ``scorer``: enough to compose a child's."""
+
+    scorer: ModelScorer
+    ids: tuple[int, ...]
+    lps: tuple[float, ...]  # open per-item log10 probabilities
+    open_total: float
+    closed_total: float  # with start symbols, before the end symbol
+    closed_head: tuple[float, ...]  # closed logprobs of the first span items
+    open_state: int
+    closed_state: int
+
+
+def _span(scorer: ModelScorer) -> int:
+    """Items after which the state no longer depends on what came before."""
+    return max(scorer.tables.order - 1, 1)
+
+
+def _score_from(kernel, state: int, ids) -> tuple[tuple[float, ...], int]:
+    lps = []
+    for tid in ids:
+        lp, state = kernel.score_step(state, tid)
+        lps.append(lp)
+    return tuple(lps), state
+
+
+def summarize(scorer: ModelScorer, items: Sequence[str]) -> Summary:
+    """Walk ``items`` once; the closed walk differs only in its first span
+    items, so it reads the open logprobs after them."""
+    ids = tuple(scorer.encode(items))
+    span = _span(scorer)
+    lps, state = _score_from(scorer.kernel, 0, ids)
+    head, closed_state = _score_from(scorer.kernel, scorer.tables.bos_state, ids[:span])
+    if len(ids) > span:
+        closed_state = state
+    return Summary(
+        scorer,
+        ids,
+        lps,
+        reduce(add, lps, 0.0),
+        reduce(add, lps[span:], reduce(add, head, 0.0)),
+        head,
+        state,
+        closed_state,
+    )
+
+
+def compose(a: Summary, b: Summary) -> Summary:
+    """The summary of a's items followed by b's, both under a.scorer."""
+    kernel = a.scorer.kernel
+    span = _span(a.scorer)
+    head = b.ids[:span]
+    open_head, open_state = _score_from(kernel, a.open_state, head)
+    if a.closed_state == a.open_state:
+        closed_head, closed_state = open_head, open_state
+    else:
+        closed_head, closed_state = _score_from(kernel, a.closed_state, head)
+    rest = b.lps[span:]
+    if rest:
+        open_state = closed_state = b.open_state
+    return Summary(
+        a.scorer,
+        a.ids + b.ids,
+        a.lps + open_head + rest,
+        reduce(add, rest, reduce(add, open_head, a.open_total)),
+        reduce(add, rest, reduce(add, closed_head, a.closed_total)),
+        (a.closed_head + closed_head)[:span],
+        open_state,
+        closed_state,
+    )
 
 
 @dataclass
@@ -46,6 +152,8 @@ class Chromosome:
     fitness: float | None = field(default=None, compare=False)
     # (token scorer, head id, tail state), filled by the junction gate
     ends: tuple | None = field(default=None, compare=False, repr=False)
+    # the signature's walk under the signature scorer, filled by fitness
+    summary: Summary | None = field(default=None, compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.templates)
@@ -132,14 +240,27 @@ def junction_probability(lm: NGramModel, left: Chromosome, right: Chromosome) ->
     head = right.ends
     if head is None or head[0] is not scorer:
         head = _ends(right, scorer)
-    return 10.0 ** scorer.kernel.score(tail[2], head[1])
+    lp = scorer.kernel.score(tail[2], head[1])
+    # a log10 probability above 0 (possible with positive ARPA backoff
+    # weights) is certain acceptance, and 10.0 ** lp may overflow
+    return 10.0 ** lp if lp < 0.0 else 1.0
 
 
 def crossover(left: Chromosome, right: Chromosome) -> Chromosome:
+    """Juxtapose two chromosomes, composing whatever model state both carry."""
+    a, b = left.summary, right.summary
+    summary = compose(a, b) if a is not None and b is not None and a.scorer is b.scorer else None
+    e, f = left.ends, right.ends
+    ends = None
+    if e is not None and f is not None and e[0] is f[0]:
+        if len(right.surface) >= e[0].tables.order - 1:
+            ends = (e[0], e[1], f[2])
     return Chromosome(
         left.templates + right.templates,
         left.surface + right.surface,
         left.signature + right.signature,
+        ends=ends,
+        summary=summary,
     )
 
 
@@ -158,17 +279,26 @@ def fitness(c: Chromosome, sig_lm: NGramModel, cfg: GAConfig) -> float:
     Uses the larger of the two per-length negative log costs -- the open
     sequence cost and the boundary-closed cost additionally normalized by the
     distance to the target length (clamped to >= 1) -- and maps it through
-    10**(-cost), so 1.0 means every transition had probability one.
+    10**(-cost), so 1.0 means every transition had probability one.  Both
+    costs come from ``c.summary``, built by one walk when ``c`` carries none
+    for this scorer.  Raises ``FitnessOverflow`` when 10**(-cost) does not
+    fit a float.
     """
     scorer = sig_lm.scorer
+    s = c.summary
+    if s is None or s.scorer is not scorer:
+        s = c.summary = summarize(scorer, c.signature)
     length = len(c.signature)
-    nl_partial = -scorer.sequence_logprob(c.signature, False)
-    nl_total = -scorer.sequence_logprob(c.signature, True)
+    nl_partial = -s.open_total
+    nl_total = -(s.closed_total + scorer.kernel.score(s.closed_state, scorer.tables.eos_id))
     gap = abs(cfg.target_length - length)
     if gap < 1:
         gap = 1
     cost = max(nl_partial / length, nl_total / ((length + 2) * gap))
-    return 10.0 ** (-cost)
+    try:
+        return 10.0 ** (-cost)
+    except OverflowError:
+        raise FitnessOverflow("fitness 10**%g is beyond the float range" % -cost) from None
 
 
 def init_population(

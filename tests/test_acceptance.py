@@ -169,6 +169,7 @@ def test_full_scale_evolution_invariants_hold_for_100_generations(sweep_setup):
     """A seeded population-1000 run over a ~10k-template inventory holds its
     invariants for 100 generations: exact population size throughout, cached
     fitness values that recompute identically on 1,000 sampled chromosomes,
+    from their carried summaries and from a fresh walk of their templates,
     the fittest parent surviving every replacement, all inside 5 minutes."""
     inventory, token_lm, sig_lm = sweep_setup
     assert 9_000 <= len(inventory.templates) <= 14_000
@@ -204,6 +205,7 @@ def test_full_scale_evolution_invariants_hold_for_100_generations(sweep_setup):
     rng = random.Random(4242)
     for c in rng.sample(result.population, 1000):
         assert c.fitness == fitness(c, sig_lm, cfg)
+        assert c.fitness == fitness(make_chromosome(c.templates), sig_lm, cfg)
 
     assert elapsed < 300.0, elapsed
 

@@ -429,6 +429,36 @@ def test_generate_out_of_range_logprob_exits_2(tmp_path, data_dir, capsys):
     assert err == ["error: bad model file: line %d: log probability '500.0' is not <= 0" % (at + 1)]
 
 
+def set_unigram_backoffs(arpa, value):
+    """Give every unigram of an ARPA file that has a backoff weight ``value``."""
+    lines = arpa.read_text(encoding="utf-8").splitlines()
+    for i in range(lines.index("\\1-grams:") + 1, lines.index("\\2-grams:")):
+        fields = lines[i].split("\t")
+        if len(fields) == 3:
+            lines[i] = "\t".join(fields[:2] + [value])
+    arpa.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def test_generate_accepts_junctions_above_probability_one(tmp_path, data_dir, capsys):
+    # A positive backoff is legal ARPA; a junction scoring log10 > 0 is a
+    # certain acceptance, not an overflow of 10 ** score.
+    path = trained_config(tmp_path, data_dir)
+    set_unigram_backoffs(tmp_path / "out" / cli.TOKEN_LM_FILE, "500.0")
+    assert main(["generate", "--config", str(path)]) == 0
+    assert "best fitness" in capsys.readouterr().out
+
+
+def test_generate_fitness_overflow_exits_2(tmp_path, data_dir, capsys):
+    path = trained_config(tmp_path, data_dir)
+    set_unigram_backoffs(tmp_path / "out" / cli.SIGNATURE_LM_FILE, "500.0")
+    capsys.readouterr()
+    assert main(["generate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert cli.SIGNATURE_LM_FILE in err[0] and "beyond the float range" in err[0], err
+    assert not (tmp_path / "out" / cli.STATS_FILE).exists()
+
+
 def test_generate_empty_inventory_exits_2(tmp_path, data_dir):
     path = trained_config(tmp_path, data_dir)
     (tmp_path / "out" / cli.INVENTORY_FILE).write_text("", encoding="utf-8")

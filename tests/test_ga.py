@@ -4,6 +4,7 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats as sps
 
 from templex.corpus import Template, extract_templates
@@ -13,6 +14,8 @@ from templex.ga import (
     GAConfig,
     PAIR_CAP_FACTOR,
     STATS_HEADER,
+    Summary,
+    compose,
     crossover,
     evolve_generation,
     fitness,
@@ -24,6 +27,7 @@ from templex.ga import (
     run,
     single,
     stats_csv_lines,
+    summarize,
     tournament_round,
 )
 from templex.ngram import NGramModel, train
@@ -73,8 +77,9 @@ def test_chromosome_identity_ignores_fitness():
     a, b = single(t), single(t)
     a.fitness = 0.25
     a.ends = (None, 0, 0)  # nor does the junction gate's cached state
+    a.summary = Summary(None, (), (), 0.0, 0.0, (), 0, 0)  # nor the fitness walk's
     assert a == b
-    assert "ends" not in repr(a)
+    assert "ends" not in repr(a) and "summary" not in repr(a)
 
 
 # ------------------------------------------------------------------ crossover
@@ -105,6 +110,92 @@ def test_crossover_is_associative_on_surfaces():
     right_first = crossover(a, crossover(b, c))
     assert left_first.surface == right_first.surface == ("u", "v", "w")
     assert left_first.templates == right_first.templates
+
+
+# ------------------------------------------------- carried state composition
+
+
+@pytest.fixture(scope="session")
+def sig_models(desk_sig_seqs, sig_lm5):
+    """Signature models of order 1, 2 and 5, plus an order-1 model whose
+    unigrams carry backoff weights, so that its state keeps the last item."""
+    lm1 = train(desk_sig_seqs, 1)
+    with_backoffs = NGramModel(
+        1, lm1.vocab, lm1.logprobs, {g: -0.25 * len(g[0]) for g in lm1.logprobs}, lm1.unk_log10
+    )
+    return (lm1, train(desk_sig_seqs, 2), sig_lm5, with_backoffs)
+
+
+@pytest.fixture(scope="session")
+def token_models(desk_token_seqs, token_lm3):
+    return (train(desk_token_seqs, 1), train(desk_token_seqs, 2), token_lm3)
+
+
+# "QX" and "never-seen" are out of vocabulary; lists start at one item, so
+# parents shorter than order - 1 are common
+tag_lists = st.lists(st.sampled_from(["NP", "VP", "PP", "ADVP", "O", "QX"]), min_size=1, max_size=7)
+word_lists = st.lists(
+    st.lists(st.sampled_from([".", "the", "a", "said", "NN", "never-seen"]), min_size=1, max_size=3),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=tag_lists, b=tag_lists, which=st.integers(0, 3))
+def test_composed_summary_equals_summary_of_the_concatenation(sig_models, a, b, which):
+    scorer = sig_models[which].scorer
+    got = compose(summarize(scorer, a), summarize(scorer, b))
+    want = summarize(scorer, a + b)
+    for name in Summary._fields:
+        assert getattr(got, name) == getattr(want, name), name
+
+
+@settings(max_examples=200, deadline=None)
+@given(items=tag_lists, which=st.integers(0, 3))
+def test_summary_totals_equal_the_kernel_walk(sig_models, items, which):
+    scorer = sig_models[which].scorer
+    s = summarize(scorer, items)
+    ids = scorer.encode(items)
+    assert s.ids == tuple(ids)
+    assert s.open_total == scorer.kernel.sequence_logprob_ids(ids, False)
+    closed = s.closed_total + scorer.kernel.score(s.closed_state, scorer.tables.eos_id)
+    assert closed == scorer.kernel.sequence_logprob_ids(ids, True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=word_lists, b=word_lists, which=st.integers(0, 2))
+def test_crossover_carries_the_childs_ends(token_models, a, b, which):
+    lm = token_models[which]
+    left = make_chromosome([lex_template(w, "NP") for w in a])
+    right = make_chromosome([lex_template(w, "VP") for w in b])
+    junction_probability(lm, left, right)  # fills both parents' ends
+    child = crossover(left, right)
+    if len(right.surface) < lm.order - 1:
+        assert child.ends is None
+    else:
+        assert child.ends == (lm.scorer,) + lm.scorer.ends(child.surface)
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=word_lists, b=word_lists)
+def test_crossover_composes_the_parents_summaries(sig_lm5, a, b):
+    cfg = default_cfg()
+    left = make_chromosome([lex_template(w, t) for w, t in zip(a, ("NP", "QX", "VP", "O"))])
+    right = make_chromosome([lex_template(w, t) for w, t in zip(b, ("PP", "NP", "O", "VP"))])
+    fitness(left, sig_lm5, cfg)
+    fitness(right, sig_lm5, cfg)
+    child = crossover(left, right)
+    assert child.summary == summarize(sig_lm5.scorer, child.signature)
+    assert fitness(child, sig_lm5, cfg) == fitness(make_chromosome(child.templates), sig_lm5, cfg)
+
+
+def test_crossover_without_carried_state_composes_nothing(sig_lm5):
+    left = make_chromosome([lex_template(["a"], "NP")])
+    right = make_chromosome([lex_template(["b", "c"], "VP")])
+    fitness(left, sig_lm5, default_cfg())  # only one parent has a summary
+    child = crossover(left, right)
+    assert child.summary is None and child.ends is None
 
 
 # ----------------------------------------------------------------- junctions

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +19,17 @@ from templex.ngram import BOS, read_arpa_file, train
 
 HAVE_NATIVE = "native" in available_backends()
 needs_native = pytest.mark.skipif(not HAVE_NATIVE, reason="compiled kernel not built")
+
+CHECKOUT_SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def backend_env(name):
+    """The environment for a child that imports this checkout's templex."""
+    env = dict(os.environ, TEMPLEX_KERNEL=name)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(CHECKOUT_SRC), env.get("PYTHONPATH")) if p
+    )
+    return env
 
 
 def test_python_backend_always_available():
@@ -187,19 +199,19 @@ def test_env_var_forces_backend(tmp_path):
         "import templex.kernels as k\n"
         "print(k.DEFAULT_BACKEND)\n"
     )
-    env = dict(os.environ, TEMPLEX_KERNEL="python")
     out = subprocess.run(
-        [sys.executable, "-c", prog], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", prog],
+        env=backend_env("python"), capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "python"
 
 
 @needs_native
 def test_env_var_native_selected(tmp_path):
-    env = dict(os.environ, TEMPLEX_KERNEL="native")
     prog = "import templex.kernels as k; print(k.DEFAULT_BACKEND)"
     out = subprocess.run(
-        [sys.executable, "-c", prog], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", prog],
+        env=backend_env("native"), capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "native"
 
