@@ -4,8 +4,13 @@ Runs are driven by a flat ``key=value`` config file.  ``train`` persists the
 factored inventory, both ARPA models, and a manifest keyed by a hash of the
 training-relevant settings (corpus bytes, factoring policy, model orders);
 ``generate`` refuses to run against artifacts trained under a different hash.
-Every run writes its resolved configuration beside its outputs, and every
-output file is byte-reproducible from (corpus, config, seed).
+The manifest also records the sha256 of the inventory and of both models,
+and ``generate`` checks them before it parses anything, so an artifact
+truncated or edited since ``train`` is an error, not a different run.  Every
+file is written to a temporary file beside it and then renamed into place,
+so none is left half-written, and the manifest is written last.  Every run
+writes its resolved configuration beside its outputs, and every output file
+is byte-reproducible from (corpus, config, seed).
 
 Exit codes: 0 success, 1 usage/config error, 2 data or manifest error.
 """
@@ -16,6 +21,7 @@ import argparse
 import hashlib
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -49,6 +55,11 @@ MANIFEST_FILE = "manifest.txt"
 RESOLVED_CONFIG_FILE = "config.resolved"
 STATS_FILE = "stats.csv"
 POPULATION_FILE = "population.txt"
+
+# The trained files that generate reads; the manifest records each one's
+# sha256 under DIGEST_KEY.
+ARTIFACT_FILES = (INVENTORY_FILE, TOKEN_LM_FILE, SIGNATURE_LM_FILE)
+DIGEST_KEY = "sha256.%s"
 
 
 class ConfigError(ValueError):
@@ -197,13 +208,42 @@ def resolved_config_lines(cfg: RunConfig):
         yield "%s=%r" % (key, getattr(cfg.ga, f.name))
 
 
+@contextmanager
+def _replacing(path: Path):
+    """A temporary path beside ``path`` to write; it replaces ``path`` when
+    the block completes and is removed when the block raises."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _write_lines(path: Path, lines) -> None:
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        with _replacing(path) as tmp, open(tmp, "w", encoding="utf-8", newline="\n") as fh:
             for line in lines:
                 fh.write(line + "\n")
     except OSError as exc:
         raise DataError("cannot write %s: %s" % (path, exc)) from None
+
+
+def artifact_digests(outdir: Path) -> dict[str, str]:
+    """The sha256 of each trained artifact in ``outdir``, by file name.
+
+    A digest is written as a decimal integer: every manifest value except
+    config_hash is a number, and perfbench/run.py reads them as counts.
+    """
+    digests = {}
+    for name in ARTIFACT_FILES:
+        h = hashlib.sha256()
+        with open(outdir / name, "rb") as fh:
+            for block in iter(lambda: fh.read(1 << 16), b""):
+                h.update(block)
+        digests[name] = str(int(h.hexdigest(), 16))
+    return digests
 
 
 def cmd_train(cfg: RunConfig) -> int:
@@ -240,8 +280,10 @@ def cmd_train(cfg: RunConfig) -> int:
         raise DataError("cannot remove old manifest in %s: %s" % (outdir, exc)) from None
     _write_lines(outdir / INVENTORY_FILE, inventory_lines(inventory))
     try:
-        write_arpa_file(token_lm, outdir / TOKEN_LM_FILE)
-        write_arpa_file(sig_lm, outdir / SIGNATURE_LM_FILE)
+        for model, name in ((token_lm, TOKEN_LM_FILE), (sig_lm, SIGNATURE_LM_FILE)):
+            with _replacing(outdir / name) as tmp:
+                write_arpa_file(model, tmp)
+        digests = artifact_digests(outdir)
     except OSError as exc:
         raise DataError("cannot write models: %s" % exc) from None
     _write_lines(
@@ -251,7 +293,8 @@ def cmd_train(cfg: RunConfig) -> int:
             "sentences=%d" % len(sentences),
             "templates_raw=%d" % raw_unique,
             "templates_factored=%d" % len(inventory.templates),
-        ],
+        ]
+        + ["%s=%s" % (DIGEST_KEY % name, digest) for name, digest in digests.items()],
     )
     _write_lines(outdir / RESOLVED_CONFIG_FILE, resolved_config_lines(cfg))
     print(
@@ -277,6 +320,22 @@ def _read_manifest(outdir: Path) -> dict[str, str]:
     return values
 
 
+def _check_digests(outdir: Path, manifest: dict[str, str]) -> None:
+    try:
+        digests = artifact_digests(outdir)
+    except OSError as exc:
+        raise DataError("cannot read artifacts: %s" % exc) from None
+    for name, digest in digests.items():
+        recorded = manifest.get(DIGEST_KEY % name)
+        if recorded is None:
+            raise DataError("%s records no sha256 of %s; retrain" % (outdir / MANIFEST_FILE, name))
+        if recorded != digest:
+            raise DataError(
+                "%s does not match the sha256 recorded in %s (changed since train); retrain"
+                % (outdir / name, MANIFEST_FILE)
+            )
+
+
 def cmd_generate(cfg: RunConfig) -> int:
     if DEFAULT_BACKEND not in available_backends():
         raise ConfigError(
@@ -291,6 +350,7 @@ def cmd_generate(cfg: RunConfig) -> int:
             "artifacts in %s were trained under config hash %s, current config hashes to %s; retrain"
             % (outdir, manifest["config_hash"], expected)
         )
+    _check_digests(outdir, manifest)
     try:
         with open(outdir / INVENTORY_FILE, encoding="utf-8") as fh:
             inventory = parse_inventory_lines(fh)

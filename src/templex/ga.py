@@ -18,16 +18,19 @@ order - 1 surface tokens, the tail is the right parent's; otherwise the
 child starts without ends.
 
 Fitness runs on a ``Summary`` of the signature's walk under the signature
-scorer, carried as ``summary``: the encoded ids, the open per-item log10
-probabilities, the open total, the boundary-closed total before the end
-symbol, the closed logprobs of the first ``span`` items, and the open and
-closed end states.  ``fitness`` builds it by one walk when a chromosome has
-none for its scorer (a fresh draw); ``crossover`` composes a child's from
-its parents' summaries: it takes the left parent's totals, scores only the
-right parent's first ``span`` ids again, from the left open end state and,
-when it differs, from the left closed one, then adds the right parent's
-remaining logprobs to both totals.  A child thus costs ``span`` kernel steps
-(twice at most) and float additions, not a walk of its whole signature.
+scorer, carried as ``summary``: the ids of the first ``span`` items
+(``head_ids``), the open per-item log10 probabilities, the open total, the
+boundary-closed total before the end symbol, and the open and closed end
+states, where ``span`` is order - 1.  ``fitness`` builds it by one walk when
+a chromosome has none for its scorer (a fresh draw); ``crossover`` composes
+a child's from its parents' summaries: it takes the left parent's totals,
+scores the right parent's ``head_ids`` again, from the left open end state
+and, when it differs, from the left closed one, then adds the right
+parent's remaining logprobs to both totals.  The child's ``head_ids`` are
+the first ``span`` of the left parent's ids followed by the right parent's.
+A child thus costs ``span`` kernel steps (twice at most) and float
+additions, not a walk of its whole signature, and keeps no ids beyond its
+first ``span``.
 
 The composed summary is bit-identical to a fresh walk of the child.  A
 kernel state is the longest stored context that ends the history, at most
@@ -36,9 +39,7 @@ every further logprob and the end state are the right parent's own.  Both
 totals are left folds from 0.0, so the left parent's totals are exact
 prefixes of the child's, and the right parent's remaining logprobs are added
 one at a time, in order: a pre-summed suffix, or ``sum()`` (compensated
-since Python 3.12), could change the last bit.  ``span`` is order - 1 but at
-least 1, because an ARPA file may give an order-1 model's unigrams backoff
-weights, and then the state carries the last item.
+since Python 3.12), could change the last bit.
 
 Reproducibility contract: all randomness flows through one ``random.Random``.
 A tournament round consumes, in order: one ``sample()`` of tournament_size
@@ -76,18 +77,17 @@ class Summary(NamedTuple):
     """One signature's walk under ``scorer``: enough to compose a child's."""
 
     scorer: ModelScorer
-    ids: tuple[int, ...]
+    head_ids: tuple[int, ...]  # ids of the first span items
     lps: tuple[float, ...]  # open per-item log10 probabilities
     open_total: float
     closed_total: float  # with start symbols, before the end symbol
-    closed_head: tuple[float, ...]  # closed logprobs of the first span items
     open_state: int
     closed_state: int
 
 
 def _span(scorer: ModelScorer) -> int:
     """Items after which the state no longer depends on what came before."""
-    return max(scorer.tables.order - 1, 1)
+    return scorer.tables.order - 1
 
 
 def _score_from(kernel, state: int, ids) -> tuple[tuple[float, ...], int]:
@@ -101,19 +101,19 @@ def _score_from(kernel, state: int, ids) -> tuple[tuple[float, ...], int]:
 def summarize(scorer: ModelScorer, items: Sequence[str]) -> Summary:
     """Walk ``items`` once; the closed walk differs only in its first span
     items, so it reads the open logprobs after them."""
-    ids = tuple(scorer.encode(items))
+    ids = scorer.encode(items)
     span = _span(scorer)
+    head_ids = tuple(ids[:span])
     lps, state = _score_from(scorer.kernel, 0, ids)
-    head, closed_state = _score_from(scorer.kernel, scorer.tables.bos_state, ids[:span])
+    head, closed_state = _score_from(scorer.kernel, scorer.tables.bos_state, head_ids)
     if len(ids) > span:
         closed_state = state
     return Summary(
         scorer,
-        ids,
+        head_ids,
         lps,
         reduce(add, lps, 0.0),
         reduce(add, lps[span:], reduce(add, head, 0.0)),
-        head,
         state,
         closed_state,
     )
@@ -123,22 +123,20 @@ def compose(a: Summary, b: Summary) -> Summary:
     """The summary of a's items followed by b's, both under a.scorer."""
     kernel = a.scorer.kernel
     span = _span(a.scorer)
-    head = b.ids[:span]
-    open_head, open_state = _score_from(kernel, a.open_state, head)
+    open_head, open_state = _score_from(kernel, a.open_state, b.head_ids)
     if a.closed_state == a.open_state:
         closed_head, closed_state = open_head, open_state
     else:
-        closed_head, closed_state = _score_from(kernel, a.closed_state, head)
+        closed_head, closed_state = _score_from(kernel, a.closed_state, b.head_ids)
     rest = b.lps[span:]
     if rest:
         open_state = closed_state = b.open_state
     return Summary(
         a.scorer,
-        a.ids + b.ids,
+        (a.head_ids + b.head_ids)[:span],
         a.lps + open_head + rest,
         reduce(add, rest, reduce(add, open_head, a.open_total)),
         reduce(add, rest, reduce(add, closed_head, a.closed_total)),
-        (a.closed_head + closed_head)[:span],
         open_state,
         closed_state,
     )

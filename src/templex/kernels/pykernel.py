@@ -6,8 +6,12 @@ tables, so both backends return bit-identical results.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from ..ngram.counts import LOG_FLOOR
-from .tables import ScorerTables
+
+if TYPE_CHECKING:
+    from .tables import ScorerTables
 
 
 class PyScorer:

@@ -10,17 +10,29 @@ key on ``ctx_id * (V + 1) + token_id``:
   state advancement.
 
 ``parent[c]`` drops the leftmost token of context ``c`` (the backoff step)
-and ``backoff[c]`` is its log10 backoff weight.  Contexts that only ever
-appear as prefixes or suffixes of stored ones (possible in pruned external
-models) are synthesized with zero backoff so both walks always terminate at
-the empty context.
+and ``backoff[c]`` is its log10 backoff weight.
+
+``build_tables`` makes the tables in one pass over the model's grams.  Each
+gram's words are looked up once, and its context is found by walking
+``trans`` from the empty context.  A context the walk does not find is made
+on the spot: it takes the next id, its parent (the context without its first
+token) is found and if need be made by the same rule, and its backoff is 0.0
+until the model gives one.  So every prefix and suffix of a stored context
+exists, as both walks need (pruned external models may store a context
+without them), and contexts are numbered in the order they are first
+reached, after their parents and prefixes; the kernels treat a state as an
+opaque int.  Backoff weights are read only from grams shorter than the
+model's order: a context is at most order - 1 tokens long, and a weight on a
+top-order gram (which an ARPA file may carry) would otherwise make an
+order-1 model's state keep the last token.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..ngram.counts import BOS, EOS, UNK
+from ..ngram.counts import BOS, EOS
+from .pykernel import PyScorer
 
 
 @dataclass
@@ -50,47 +62,51 @@ def build_tables(model) -> ScorerTables:
     token_ids = {tok: i for i, tok in enumerate(sorted(model.vocab))}
     sentinel = len(token_ids)
     base = sentinel + 1
+    tid = token_ids.get
+    ctx_len = [0]
+    parent = [0]
+    backoff = [0.0]
+    trans: dict[int, int] = {}
+    probs: dict[int, float] = {}
 
-    def tid(tok: str) -> int:
-        return token_ids.get(tok, sentinel)
+    def extend(c: int, t: int) -> int:
+        """Id of context ``c`` followed by token ``t``, made if it is missing.
 
-    contexts: set[tuple[int, ...]] = {()}
-    grams: dict[tuple[int, ...], float] = {}
+        The parent of c + t is parent(c) + t, made by the same rule.
+        """
+        key = c * base + t
+        nxt = trans.get(key)
+        if nxt is None:
+            up = extend(parent[c], t) if c else 0
+            nxt = trans[key] = len(ctx_len)
+            ctx_len.append(ctx_len[c] + 1)
+            parent.append(up)
+            backoff.append(0.0)
+        return nxt
+
+    def context(words) -> int:
+        c = 0
+        for w in words:
+            c = extend(c, tid(w, sentinel))
+        return c
+
+    # An ARPA file lists grams sorted, so a run of grams shares one prefix,
+    # which is walked once; any other order gives the same tables.
+    prefix, c = (), 0
     for g, lp in model.logprobs.items():
-        ig = tuple(tid(t) for t in g)
-        grams[ig] = lp
-        if len(ig) > 1:
-            contexts.add(ig[:-1])
-    bows: dict[tuple[int, ...], float] = {}
+        if g[:-1] != prefix:
+            prefix = g[:-1]
+            c = context(prefix)
+        probs[c * base + tid(g[-1], sentinel)] = lp
+    prefix, c = (), 0
     for g, w in model.backoffs.items():
-        ig = tuple(tid(t) for t in g)
-        bows[ig] = w
-        contexts.add(ig)
-    # Close under prefixes (for trans chaining) and suffixes (for backoff
-    # chaining); missing links get implicit zero backoff.
-    stack = list(contexts)
-    while stack:
-        c = stack.pop()
-        for link in (c[:-1], c[1:]):
-            if c and link not in contexts:
-                contexts.add(link)
-                stack.append(link)
+        if len(g) < model.order:
+            if g[:-1] != prefix:
+                prefix = g[:-1]
+                c = context(prefix)
+            backoff[extend(c, tid(g[-1], sentinel))] = w
 
-    ordered = sorted(contexts, key=lambda c: (len(c), c))
-    ctx_id = {c: i for i, c in enumerate(ordered)}
-    ctx_len = [len(c) for c in ordered]
-    parent = [ctx_id[c[1:]] if c else 0 for c in ordered]
-    backoff = [bows.get(c, 0.0) for c in ordered]
-    trans = {
-        ctx_id[c[:-1]] * base + c[-1]: ctx_id[c] for c in ordered if c
-    }
-    probs = {ctx_id[g[:-1]] * base + g[-1]: lp for g, lp in grams.items()}
-
-    bos = tid(BOS)
-    state = 0
-    for _ in range(model.order - 1):
-        state = trans.get(state * base + bos, _suffix_state(state, bos, ordered, ctx_id))
-    return ScorerTables(
+    tables = ScorerTables(
         order=model.order,
         base=base,
         token_ids=token_ids,
@@ -100,16 +116,8 @@ def build_tables(model) -> ScorerTables:
         probs=probs,
         trans=trans,
         unk_log10=model.unk_log10,
-        bos_state=state,
-        eos_id=tid(EOS),
+        bos_state=0,
+        eos_id=tid(EOS, sentinel),
     )
-
-
-def _suffix_state(state: int, tok: int, ordered, ctx_id) -> int:
-    """Longest stored suffix of (state tokens + tok); slow path, build time only."""
-    ctx = ordered[state] + (tok,)
-    for i in range(len(ctx)):
-        hit = ctx_id.get(ctx[i:])
-        if hit is not None:
-            return hit
-    return 0
+    tables.bos_state = PyScorer(tables).walk(0, [tid(BOS, sentinel)] * (model.order - 1))
+    return tables

@@ -84,16 +84,17 @@ def read_arpa(stream: Iterable[str]) -> NGramModel:
         line = raw.strip()
         if not line:
             continue
-        if line == "\\end\\":
-            current = -1
-            break
-        m = _SECTION_RE.match(line)
-        if m:
-            current = int(m.group(1))
-            if current not in declared:
-                raise MalformedArpa(lineno, "section \\%d-grams: was not declared" % current)
-            seen_orders.add(current)
-            continue
+        if line[0] == "\\":  # a marker; entry lines skip the regex
+            if line == "\\end\\":
+                current = -1
+                break
+            m = _SECTION_RE.match(line)
+            if m:
+                current = int(m.group(1))
+                if current not in declared:
+                    raise MalformedArpa(lineno, "section \\%d-grams: was not declared" % current)
+                seen_orders.add(current)
+                continue
         if current < 1:
             raise MalformedArpa(lineno, "entry outside any n-gram section: %r" % line)
         parts = line.split()

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
+from types import SimpleNamespace
 
 BOS = "<s>"
 EOS = "</s>"
@@ -177,3 +178,63 @@ def arpa_seq_logprob(order, logprobs, backoffs, tokens):
         total += arpa_logprob(order, logprobs, backoffs, ctx, w)
         ctx = (ctx + (w,))[-(order - 1) :] if order > 1 else ()
     return total
+
+
+def reference_tables(model):
+    """Scorer tables by the sort-and-closure rule, as a plain namespace with
+    the fields of the package's tables: every context of a stored gram (and
+    every gram shorter than the order that has a backoff weight) is closed
+    under prefixes and suffixes, then numbered by (length, token ids).  Token
+    ids follow the sorted vocabulary; anything else gets the sentinel."""
+    token_ids = {tok: i for i, tok in enumerate(sorted(model.vocab))}
+    sentinel = len(token_ids)
+    base = sentinel + 1
+
+    def ids_of(gram):
+        return tuple(token_ids.get(t, sentinel) for t in gram)
+
+    contexts = {()}
+    grams = {}
+    for g, lp in model.logprobs.items():
+        ig = ids_of(g)
+        grams[ig] = lp
+        contexts.add(ig[:-1])
+    bows = {}
+    for g, w in model.backoffs.items():
+        if len(g) < model.order:
+            ig = ids_of(g)
+            bows[ig] = w
+            contexts.add(ig)
+    stack = list(contexts)
+    while stack:
+        c = stack.pop()
+        for link in (c[:-1], c[1:]):
+            if c and link not in contexts:
+                contexts.add(link)
+                stack.append(link)
+
+    ordered = sorted(contexts, key=lambda c: (len(c), c))
+    ctx_id = {c: i for i, c in enumerate(ordered)}
+
+    def longest_stored_suffix(ctx):
+        for i in range(len(ctx) + 1):
+            if ctx[i:] in ctx_id:
+                return ctx_id[ctx[i:]]
+
+    bos = token_ids.get(BOS, sentinel)
+    state = ()
+    for _ in range(model.order - 1):
+        state = ordered[longest_stored_suffix(state + (bos,))]
+    return SimpleNamespace(
+        order=model.order,
+        base=base,
+        token_ids=token_ids,
+        ctx_len=[len(c) for c in ordered],
+        parent=[ctx_id[c[1:]] if c else 0 for c in ordered],
+        backoff=[bows.get(c, 0.0) for c in ordered],
+        probs={ctx_id[g[:-1]] * base + g[-1]: lp for g, lp in grams.items()},
+        trans={ctx_id[c[:-1]] * base + c[-1]: ctx_id[c] for c in ordered if c},
+        unk_log10=model.unk_log10,
+        bos_state=ctx_id[state],
+        eos_id=token_ids.get(EOS, sentinel),
+    )

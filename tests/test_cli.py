@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: configs, artifacts, exit codes."""
 
+import hashlib
 import os
 import shutil
 import subprocess
@@ -60,6 +61,16 @@ def write_config(tmp_path, data_dir, name="run.cfg", **overrides):
 def manifest_values(outdir):
     text = (outdir / cli.MANIFEST_FILE).read_text(encoding="utf-8")
     return dict(line.split("=", 1) for line in text.splitlines())
+
+
+def reseal(outdir):
+    """Record the artifacts' current digests in the manifest, as train does,
+    so that generate goes on to parse an artifact a test has edited."""
+    values = manifest_values(outdir)
+    for name, digest in cli.artifact_digests(outdir).items():
+        values[cli.DIGEST_KEY % name] = digest
+    text = "".join("%s=%s\n" % item for item in values.items())
+    (outdir / cli.MANIFEST_FILE).write_text(text, encoding="utf-8")
 
 
 # -------------------------------------------------------------- config parsing
@@ -401,6 +412,7 @@ def test_generate_zero_generations_single_row(tmp_path, data_dir):
 def test_generate_corrupt_model_exits_2(tmp_path, data_dir, capsys):
     path = trained_config(tmp_path, data_dir)
     (tmp_path / "out" / cli.TOKEN_LM_FILE).write_text("\\data\\\nnot arpa\n", encoding="utf-8")
+    reseal(tmp_path / "out")
     assert main(["generate", "--config", str(path)]) == 2
     assert "bad model file" in capsys.readouterr().err
 
@@ -410,6 +422,7 @@ def test_generate_bad_inventory_tag_exits_2(tmp_path, data_dir, capsys, bad):
     path = trained_config(tmp_path, data_dir)
     with open(tmp_path / "out" / cli.INVENTORY_FILE, "a", encoding="utf-8") as fh:
         fh.write(bad + "\n")
+    reseal(tmp_path / "out")
     capsys.readouterr()
     assert main(["generate", "--config", str(path)]) == 2
     lines = capsys.readouterr().err.splitlines()
@@ -423,6 +436,7 @@ def test_generate_out_of_range_logprob_exits_2(tmp_path, data_dir, capsys):
     at = lines.index("\\1-grams:") + 1
     lines[at] = "500.0\t" + lines[at].split("\t", 1)[1]
     arpa.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    reseal(tmp_path / "out")
     capsys.readouterr()
     assert main(["generate", "--config", str(path)]) == 2
     err = capsys.readouterr().err.splitlines()
@@ -444,6 +458,7 @@ def test_generate_accepts_junctions_above_probability_one(tmp_path, data_dir, ca
     # certain acceptance, not an overflow of 10 ** score.
     path = trained_config(tmp_path, data_dir)
     set_unigram_backoffs(tmp_path / "out" / cli.TOKEN_LM_FILE, "500.0")
+    reseal(tmp_path / "out")
     assert main(["generate", "--config", str(path)]) == 0
     assert "best fitness" in capsys.readouterr().out
 
@@ -451,6 +466,7 @@ def test_generate_accepts_junctions_above_probability_one(tmp_path, data_dir, ca
 def test_generate_fitness_overflow_exits_2(tmp_path, data_dir, capsys):
     path = trained_config(tmp_path, data_dir)
     set_unigram_backoffs(tmp_path / "out" / cli.SIGNATURE_LM_FILE, "500.0")
+    reseal(tmp_path / "out")
     capsys.readouterr()
     assert main(["generate", "--config", str(path)]) == 2
     err = capsys.readouterr().err.splitlines()
@@ -459,9 +475,67 @@ def test_generate_fitness_overflow_exits_2(tmp_path, data_dir, capsys):
     assert not (tmp_path / "out" / cli.STATS_FILE).exists()
 
 
+def truncate_at_a_line(path):
+    """Drop the second half of a file's lines, as an interrupted copy might."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(b"".join(lines[: len(lines) // 2]))
+
+
+@pytest.mark.parametrize("name", cli.ARTIFACT_FILES)
+def test_generate_truncated_artifact_exits_2(tmp_path, data_dir, capsys, name):
+    path = trained_config(tmp_path, data_dir)
+    out = tmp_path / "out"
+    truncate_at_a_line(out / name)
+    capsys.readouterr()
+    assert main(["generate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert name in err[0] and "sha256" in err[0], err
+    assert not (out / cli.STATS_FILE).exists()
+
+
+def test_generate_without_recorded_digests_exits_2(tmp_path, data_dir, capsys):
+    path = trained_config(tmp_path, data_dir)
+    manifest = tmp_path / "out" / cli.MANIFEST_FILE
+    kept = [x for x in manifest.read_text(encoding="utf-8").splitlines() if not x.startswith("sha256.")]
+    manifest.write_text("\n".join(kept) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["generate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "records no sha256" in err[0] and "retrain" in err[0], err
+
+
+def test_train_records_each_artifacts_sha256(tmp_path, data_dir):
+    trained_config(tmp_path, data_dir)
+    out = tmp_path / "out"
+    values = manifest_values(out)
+    for name in cli.ARTIFACT_FILES:
+        hexdigest = hashlib.sha256((out / name).read_bytes()).hexdigest()
+        assert int(values[cli.DIGEST_KEY % name]) == int(hexdigest, 16)
+    # every manifest value but the config hash is a number
+    assert all(v.isdigit() for k, v in values.items() if k != "config_hash")
+    assert not list(out.glob("*.tmp"))
+
+
+def test_failed_write_keeps_the_old_file_whole(tmp_path, data_dir, monkeypatch):
+    path = trained_config(tmp_path, data_dir)
+    out = tmp_path / "out"
+    before = (out / cli.TOKEN_LM_FILE).read_bytes()
+
+    def fail_midway(model, target):
+        target.write_text("\\data\\\n", encoding="utf-8")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "write_arpa_file", fail_midway)
+    assert main(["train", "--config", str(path)]) == 2
+    assert (out / cli.TOKEN_LM_FILE).read_bytes() == before
+    assert not list(out.glob("*.tmp"))
+
+
 def test_generate_empty_inventory_exits_2(tmp_path, data_dir):
     path = trained_config(tmp_path, data_dir)
     (tmp_path / "out" / cli.INVENTORY_FILE).write_text("", encoding="utf-8")
+    reseal(tmp_path / "out")
     assert main(["generate", "--config", str(path)]) == 2
 
 

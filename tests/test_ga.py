@@ -77,7 +77,7 @@ def test_chromosome_identity_ignores_fitness():
     a, b = single(t), single(t)
     a.fitness = 0.25
     a.ends = (None, 0, 0)  # nor does the junction gate's cached state
-    a.summary = Summary(None, (), (), 0.0, 0.0, (), 0, 0)  # nor the fitness walk's
+    a.summary = Summary(None, (), (), 0.0, 0.0, 0, 0)  # nor the fitness walk's
     assert a == b
     assert "ends" not in repr(a) and "summary" not in repr(a)
 
@@ -118,7 +118,7 @@ def test_crossover_is_associative_on_surfaces():
 @pytest.fixture(scope="session")
 def sig_models(desk_sig_seqs, sig_lm5):
     """Signature models of order 1, 2 and 5, plus an order-1 model whose
-    unigrams carry backoff weights, so that its state keeps the last item."""
+    unigrams carry backoff weights, which no query may add."""
     lm1 = train(desk_sig_seqs, 1)
     with_backoffs = NGramModel(
         1, lm1.vocab, lm1.logprobs, {g: -0.25 * len(g[0]) for g in lm1.logprobs}, lm1.unk_log10
@@ -157,7 +157,7 @@ def test_summary_totals_equal_the_kernel_walk(sig_models, items, which):
     scorer = sig_models[which].scorer
     s = summarize(scorer, items)
     ids = scorer.encode(items)
-    assert s.ids == tuple(ids)
+    assert s.head_ids == tuple(ids[: scorer.tables.order - 1])
     assert s.open_total == scorer.kernel.sequence_logprob_ids(ids, False)
     closed = s.closed_total + scorer.kernel.score(s.closed_state, scorer.tables.eos_id)
     assert closed == scorer.kernel.sequence_logprob_ids(ids, True)
@@ -227,6 +227,18 @@ def test_junction_under_unigram_model(desk_token_seqs):
     assert junction_probability(lm1, left, right) == pytest.approx(
         10 ** lm1.scorer.logprob((), "x"), rel=1e-12
     )
+
+
+def test_top_order_backoffs_leave_the_state_empty():
+    # an ARPA file may give an order-1 model's unigrams backoff weights;
+    # they back off from no context, so no query adds them
+    lm = NGramModel(1, frozenset("ab"), {("a",): -0.5, ("b",): -0.7}, {("a",): -0.3})
+    scorer = lm.scorer
+    assert scorer.sequence_logprob(["a", "b"]) == scorer.logprob([], "a") + scorer.logprob(["a"], "b")
+    assert scorer.sequence_logprob(["a", "b"]) == -0.5 + -0.7
+    left = make_chromosome([lex_template(["a"], "NP")])
+    right = make_chromosome([lex_template(["b"], "VP")])
+    assert junction_probability(lm, left, right) == 10.0 ** scorer.logprob(["a"], "b")
 
 
 def random_chromosomes(inventory, rng, n):

@@ -1,5 +1,6 @@
 """Backend parity, packed-table structure, and backend selection."""
 
+import io
 import os
 import random
 import subprocess
@@ -7,7 +8,9 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import templex.kernels
 from templex.kernels import (
     DEFAULT_BACKEND,
     ModelScorer,
@@ -15,7 +18,9 @@ from templex.kernels import (
     make_scorer,
 )
 from templex.kernels.tables import build_tables
-from templex.ngram import BOS, read_arpa_file, train
+from templex.ngram import BOS, NGramModel, read_arpa, read_arpa_file, train, write_arpa
+
+from oracles import reference_tables
 
 HAVE_NATIVE = "native" in available_backends()
 needs_native = pytest.mark.skipif(not HAVE_NATIVE, reason="compiled kernel not built")
@@ -122,6 +127,96 @@ def test_bos_state_backs_off_in_single_start_files(data_dir):
     bos_id = t.encode(BOS)
     root_step = t.trans[0 * t.base + bos_id]
     assert t.bos_state == root_step
+
+
+def by_context(t):
+    """Tables keyed by each context's token ids instead of its context id."""
+    base = t.base
+    names = {0: ()}
+    for key, dst in sorted(t.trans.items(), key=lambda kv: t.ctx_len[kv[1]]):
+        names[dst] = names[key // base] + (key % base,)
+    assert len(names) == len(t.ctx_len) == len(t.trans) + 1  # one name each
+    assert len(set(names.values())) == len(names)
+    return dict(
+        order=t.order,
+        base=base,
+        token_ids=t.token_ids,
+        unk_log10=t.unk_log10,
+        eos_id=t.eos_id,
+        bos_state=names[t.bos_state],
+        ctx_len={names[c]: n for c, n in enumerate(t.ctx_len)},
+        parent={names[c]: names[p] for c, p in enumerate(t.parent)},
+        backoff={names[c]: w for c, w in enumerate(t.backoff)},
+        probs={(names[k // base], k % base): lp for k, lp in t.probs.items()},
+        trans={(names[k // base], k % base): names[d] for k, d in t.trans.items()},
+    )
+
+
+def assert_tables_match_reference(model):
+    got, want = by_context(build_tables(model)), by_context(reference_tables(model))
+    for name in want:
+        assert got[name] == want[name], name
+
+
+def round_trip(model):
+    buf = io.StringIO()
+    write_arpa(model, buf)
+    buf.seek(0)
+    return read_arpa(buf)
+
+
+def test_tables_match_the_reference_on_trained_models(token_lm3, sig_lm5):
+    for model in (token_lm3, sig_lm5, round_trip(token_lm3)):
+        assert_tables_match_reference(model)
+
+
+def test_tables_match_the_reference_on_a_single_start_file(data_dir):
+    assert_tables_match_reference(read_arpa_file(data_dir / "token_ref.arpa"))
+
+
+WORDS = ["<s>", "</s>", "<unk>", "a", "b", "c"]
+
+
+@st.composite
+def pruned_models(draw):
+    """Models with grams whose prefixes and suffixes are missing, backoff
+    weights on grams with no probability (top-order ones included) and
+    words outside the vocabulary at every order."""
+    order = draw(st.integers(1, 4))
+    vocab = draw(st.frozensets(st.sampled_from(WORDS[:2] + WORDS[3:]), min_size=1))
+    gram = st.lists(st.sampled_from(WORDS + ["oov"]), min_size=1, max_size=order).map(tuple)
+    value = st.floats(-6.0, 0.0)
+    return NGramModel(
+        order,
+        vocab,
+        draw(st.dictionaries(gram, value, max_size=30)),
+        draw(st.dictionaries(gram, st.floats(-3.0, 3.0), max_size=15)),
+        draw(value),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(model=pruned_models())
+def test_tables_match_the_reference_on_pruned_models(model):
+    assert_tables_match_reference(model)
+
+
+def test_tables_are_deterministic(token_lm3, sig_lm5):
+    for model in (token_lm3, sig_lm5):
+        assert build_tables(model) == build_tables(model)
+
+
+def test_make_scorer_builds_through_the_package_hook(token_lm3, monkeypatch):
+    # perfbench counts contexts by wrapping templex.kernels.build_tables
+    seen = []
+
+    def spy(model):
+        seen.append(model)
+        return build_tables(model)
+
+    monkeypatch.setattr(templex.kernels, "build_tables", spy)
+    make_scorer(token_lm3, "python")
+    assert seen == [token_lm3]
 
 
 def test_score_step_advances_like_walk(token_lm3):
