@@ -19,7 +19,10 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
+from .ngram.counts import BOS, EOS, UNK
+
 _CHUNK_RE = re.compile(r"^(?:O|[BI]-.+)$")
+_RESERVED = frozenset((BOS, EOS, UNK))  # symbols the n-gram models give a meaning
 
 
 class MalformedLine(ValueError):
@@ -119,9 +122,10 @@ class CountTable:
 def parse_conll(lines: Iterable[str]) -> list[AnnotatedSentence]:
     """Parse 3-column chunker output into sentences.
 
-    Raises MalformedLine for wrong column counts or illegal chunk tags, and
-    IllegalBIO for I- tags with no matching predecessor.  Trailing blank
-    lines are ignored.
+    Raises MalformedLine for wrong column counts, illegal chunk tags and a
+    word or chunk label that is a reserved model symbol (``<s>``, ``</s>``,
+    ``<unk>``), and IllegalBIO for I- tags with no matching predecessor.
+    Trailing blank lines are ignored.
     """
     sentences: list[AnnotatedSentence] = []
     current: list[AnnotatedToken] = []
@@ -140,6 +144,8 @@ def parse_conll(lines: Iterable[str]) -> list[AnnotatedSentence]:
         surface, pos, chunk = cols
         if not _CHUNK_RE.match(chunk):
             raise MalformedLine(lineno, raw.rstrip("\n"), "illegal chunk tag %r" % chunk)
+        if surface in _RESERVED or chunk[2:] in _RESERVED:
+            raise MalformedLine(lineno, raw.rstrip("\n"), "word or chunk label is a reserved model symbol")
         if chunk.startswith("I-"):
             label = chunk[2:]
             if prev_chunk not in ("B-" + label, "I-" + label):

@@ -18,28 +18,23 @@ order - 1 surface tokens, the tail is the right parent's; otherwise the
 child starts without ends.
 
 Fitness runs on a ``Summary`` of the signature's walk under the signature
-scorer, carried as ``summary``: the ids of the first ``span`` items
-(``head_ids``), the open per-item log10 probabilities, the open total, the
-boundary-closed total before the end symbol, and the open and closed end
-states, where ``span`` is order - 1.  ``fitness`` builds it by one walk when
-a chromosome has none for its scorer (a fresh draw); ``crossover`` composes
-a child's from its parents' summaries: it takes the left parent's totals,
-scores the right parent's ``head_ids`` again, from the left open end state
-and, when it differs, from the left closed one, then adds the right
-parent's remaining logprobs to both totals.  The child's ``head_ids`` are
-the first ``span`` of the left parent's ids followed by the right parent's.
-A child thus costs ``span`` kernel steps (twice at most) and float
-additions, not a walk of its whole signature, and keeps no ids beyond its
-first ``span``.
-
-The composed summary is bit-identical to a fresh walk of the child.  A
-kernel state is the longest stored context that ends the history, at most
-order - 1 items long, so once ``span`` items of the right parent are read,
-every further logprob and the end state are the right parent's own.  Both
-totals are left folds from 0.0, so the left parent's totals are exact
-prefixes of the child's, and the right parent's remaining logprobs are added
-one at a time, in order: a pre-summed suffix, or ``sum()`` (compensated
-since Python 3.12), could change the last bit.
+scorer, carried as ``summary``: the ids of the first ``span`` = order - 1
+items (``head_ids``), the open per-item log10 probabilities, the open total,
+the boundary-closed total before the end symbol, and the open and closed end
+states.  One rule builds and composes it: ``_extend`` steps the open and
+closed walks side by side over new items, and as one walk once their states
+meet.  A kernel state is the longest stored context that ends the history,
+at most ``span`` items long, so the states meet after ``span`` items at the
+latest and every later logprob and state depends only on the items read.
+``summarize`` extends the empty summary (states 0 and the start-padded
+state); ``compose(a, b)`` extends ``a`` by ``b.head_ids``, then adds b's
+remaining logprobs to both totals and takes b's end state.  A child thus
+costs at most 2 * span kernel steps and one float addition per item, and
+keeps no ids beyond its first ``span``.  It is bit-identical to a fresh
+walk: both totals are left folds from 0.0, so a's totals are exact prefixes
+of the child's, and b's remaining logprobs are added one at a time, in
+order; a pre-summed suffix, or ``sum()`` (compensated since Python 3.12),
+could change the last bit.
 
 Reproducibility contract: all randomness flows through one ``random.Random``.
 A tournament round consumes, in order: one ``sample()`` of tournament_size
@@ -90,55 +85,50 @@ def _span(scorer: ModelScorer) -> int:
     return scorer.tables.order - 1
 
 
-def _score_from(kernel, state: int, ids) -> tuple[tuple[float, ...], int]:
+def _extend(s: Summary, ids) -> Summary:
+    """The summary of s's items followed by the items ``ids``: the open and
+    closed walks step side by side, and as one walk once their states meet."""
+    step = s.scorer.kernel.score_step
+    open_total, closed_total = s.open_total, s.closed_total
+    open_state, closed_state = s.open_state, s.closed_state
     lps = []
     for tid in ids:
-        lp, state = kernel.score_step(state, tid)
+        lp, state = step(open_state, tid)
+        if closed_state == open_state:
+            closed_lp, closed_state = lp, state
+        else:
+            closed_lp, closed_state = step(closed_state, tid)
+        open_state = state
+        open_total += lp
+        closed_total += closed_lp
         lps.append(lp)
-    return tuple(lps), state
+    span = _span(s.scorer)
+    head_ids = (s.head_ids + tuple(ids[:span]))[:span]
+    return Summary(
+        s.scorer, head_ids, s.lps + tuple(lps), open_total, closed_total, open_state, closed_state
+    )
 
 
 def summarize(scorer: ModelScorer, items: Sequence[str]) -> Summary:
-    """Walk ``items`` once; the closed walk differs only in its first span
-    items, so it reads the open logprobs after them."""
-    ids = scorer.encode(items)
-    span = _span(scorer)
-    head_ids = tuple(ids[:span])
-    lps, state = _score_from(scorer.kernel, 0, ids)
-    head, closed_state = _score_from(scorer.kernel, scorer.tables.bos_state, head_ids)
-    if len(ids) > span:
-        closed_state = state
-    return Summary(
-        scorer,
-        head_ids,
-        lps,
-        reduce(add, lps, 0.0),
-        reduce(add, lps[span:], reduce(add, head, 0.0)),
-        state,
-        closed_state,
-    )
+    """The walk of ``items`` from the empty and from the start-padded state."""
+    empty = Summary(scorer, (), (), 0.0, 0.0, 0, scorer.tables.bos_state)
+    return _extend(empty, scorer.encode(items))
 
 
 def compose(a: Summary, b: Summary) -> Summary:
     """The summary of a's items followed by b's, both under a.scorer."""
-    kernel = a.scorer.kernel
-    span = _span(a.scorer)
-    open_head, open_state = _score_from(kernel, a.open_state, b.head_ids)
-    if a.closed_state == a.open_state:
-        closed_head, closed_state = open_head, open_state
-    else:
-        closed_head, closed_state = _score_from(kernel, a.closed_state, b.head_ids)
-    rest = b.lps[span:]
-    if rest:
-        open_state = closed_state = b.open_state
+    s = _extend(a, b.head_ids)
+    rest = b.lps[_span(a.scorer) :]
+    if not rest:
+        return s
     return Summary(
         a.scorer,
-        (a.head_ids + b.head_ids)[:span],
-        a.lps + open_head + rest,
-        reduce(add, rest, reduce(add, open_head, a.open_total)),
-        reduce(add, rest, reduce(add, closed_head, a.closed_total)),
-        open_state,
-        closed_state,
+        s.head_ids,
+        s.lps + rest,
+        reduce(add, rest, s.open_total),
+        reduce(add, rest, s.closed_total),
+        b.open_state,
+        b.open_state,
     )
 
 
@@ -250,9 +240,8 @@ def crossover(left: Chromosome, right: Chromosome) -> Chromosome:
     summary = compose(a, b) if a is not None and b is not None and a.scorer is b.scorer else None
     e, f = left.ends, right.ends
     ends = None
-    if e is not None and f is not None and e[0] is f[0]:
-        if len(right.surface) >= e[0].tables.order - 1:
-            ends = (e[0], e[1], f[2])
+    if e is not None and f is not None and e[0] is f[0] and len(right.surface) >= _span(e[0]):
+        ends = (e[0], e[1], f[2])
     return Chromosome(
         left.templates + right.templates,
         left.surface + right.surface,

@@ -21,7 +21,7 @@ class PyScorer:
         self.t = tables
 
     def score(self, state: int, tid: int) -> float:
-        """log10 prob of tid in state: the first half of ``score_step``."""
+        """log10 prob of tid in state: back off until a stored gram is found."""
         t = self.t
         probs = t.probs
         parent = t.parent
@@ -42,64 +42,30 @@ class PyScorer:
             lp = LOG_FLOOR
         return lp
 
-    def score_step(self, state: int, tid: int) -> tuple[float, int]:
-        """(log10 prob of tid in state, state after consuming tid).
-
-        The scoring half repeats ``score`` inline: sequence scoring runs
-        through here once per token and would pay for the extra call.
-        """
+    def advance(self, state: int, tid: int) -> int:
+        """State after consuming tid: the longest stored context that ends
+        the history, at most order - 1 tokens long."""
         t = self.t
-        probs = t.probs
         parent = t.parent
-        base = t.base
-        s = state
-        acc = 0.0
-        while True:
-            lp = probs.get(s * base + tid)
-            if lp is not None:
-                lp += acc
-                break
-            if s == 0:
-                lp = acc + t.unk_log10
-                break
-            acc += t.backoff[s]
-            s = parent[s]
-        if lp < LOG_FLOOR:
-            lp = LOG_FLOOR
-
-        trans = t.trans
         u = state
         while u != 0 and t.ctx_len[u] >= t.order - 1:
             u = parent[u]
         while True:
-            nxt = trans.get(u * base + tid)
+            nxt = t.trans.get(u * t.base + tid)
             if nxt is not None:
-                break
+                return nxt
             if u == 0:
-                nxt = 0
-                break
+                return 0
             u = parent[u]
-        return lp, nxt
+
+    def score_step(self, state: int, tid: int) -> tuple[float, int]:
+        """(log10 prob of tid in state, state after consuming tid)."""
+        return self.score(state, tid), self.advance(state, tid)
 
     def walk(self, state: int, tids) -> int:
         """Advance the context state through tids without scoring."""
-        t = self.t
-        trans = t.trans
-        parent = t.parent
-        base = t.base
         for tid in tids:
-            u = state
-            while u != 0 and t.ctx_len[u] >= t.order - 1:
-                u = parent[u]
-            while True:
-                nxt = trans.get(u * base + tid)
-                if nxt is not None:
-                    break
-                if u == 0:
-                    nxt = 0
-                    break
-                u = parent[u]
-            state = nxt
+            state = self.advance(state, tid)
         return state
 
     def logprob_ids(self, context_ids, tid: int) -> float:
@@ -110,8 +76,8 @@ class PyScorer:
         state = self.t.bos_state if with_boundaries else 0
         total = 0.0
         for tid in tids:
-            lp, state = self.score_step(state, tid)
-            total += lp
+            total += self.score(state, tid)
+            state = self.advance(state, tid)
         if with_boundaries:
             total += self.score(state, self.t.eos_id)
         return total

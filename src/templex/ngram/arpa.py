@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import re
-from collections import Counter
+from itertools import islice
 from typing import IO, Iterable
 
 from .counts import LOG_FLOOR, UNK, NGram
@@ -78,22 +78,28 @@ def read_arpa(stream: Iterable[str]) -> NGramModel:
 
     logprobs: dict[NGram, float] = {}
     backoffs: dict[NGram, float] = {}
-    seen_orders: set[int] = set()
-    current = 0
+    found: dict[int, int] = {}  # distinct grams per order read so far
+    vocab: set[str] = set()
+    current = start = 0  # the section being read, and len(logprobs) when it began
     for lineno, raw in lines:
         line = raw.strip()
         if not line:
             continue
         if line[0] == "\\":  # a marker; entry lines skip the regex
+            m = _SECTION_RE.match(line)
+            if current > 0 and (m or line == "\\end\\"):
+                # the section just read added its new grams as the last keys
+                new = len(logprobs) - start
+                found[current] = found.get(current, 0) + new
+                if current == 1:
+                    vocab.update(g[0] for g in islice(reversed(logprobs), new))
             if line == "\\end\\":
                 current = -1
                 break
-            m = _SECTION_RE.match(line)
             if m:
-                current = int(m.group(1))
+                current, start = int(m.group(1)), len(logprobs)
                 if current not in declared:
                     raise MalformedArpa(lineno, "section \\%d-grams: was not declared" % current)
-                seen_orders.add(current)
                 continue
         if current < 1:
             raise MalformedArpa(lineno, "entry outside any n-gram section: %r" % line)
@@ -120,14 +126,12 @@ def read_arpa(stream: Iterable[str]) -> NGramModel:
             backoffs[gram] = bo
     if current != -1:
         raise MalformedArpa(lineno, "missing \\end\\ marker")
-    found = Counter(map(len, logprobs))
     for k, n in declared.items():
-        if k not in seen_orders or found[k] != n:
-            raise MalformedArpa(lineno, "declared %d %d-grams, found %d" % (n, k, found[k]))
+        if found.get(k) != n:
+            raise MalformedArpa(lineno, "declared %d %d-grams, found %d" % (n, k, found.get(k, 0)))
 
-    unk_log10 = logprobs.get((UNK,), LOG_FLOOR)
-    vocab = frozenset(g[0] for g in logprobs if len(g) == 1 and g[0] != UNK)
-    return NGramModel(order, vocab, logprobs, backoffs, unk_log10)
+    vocab.discard(UNK)
+    return NGramModel(order, frozenset(vocab), logprobs, backoffs, logprobs.get((UNK,), LOG_FLOOR))
 
 
 def read_arpa_file(path) -> NGramModel:

@@ -135,6 +135,40 @@ def test_declared_counts_match_sections(token_lm3):
         assert declared[k] == count
 
 
+REORDERED_BIGRAM = """\
+\\data\\
+ngram 1=4
+ngram 2=3
+
+\\2-grams:
+-0.1000\ta b
+-0.1500\t<s> a
+-0.2500\tzz a
+
+\\1-grams:
+-0.3010\ta\t-0.2000
+-0.6021\tb
+-0.9031\t<s>\t-0.1000
+-1.2041\t</s>
+-0.6021\tb
+
+\\end\\
+"""
+
+
+def test_sections_are_counted_as_read():
+    # sections in any order; the vocabulary is the 1-gram section's words
+    # (not "zz", which only a 2-gram names); a repeated line adds no gram
+    base = read_arpa(io.StringIO(HAND_BIGRAM))
+    m = read_arpa(io.StringIO(REORDERED_BIGRAM))
+    assert m.vocab == base.vocab == frozenset({"a", "b", "<s>", "</s>"})
+    assert m.logprobs == {**base.logprobs, ("zz", "a"): -0.25}
+    no_bigrams = HAND_BIGRAM.replace("\\2-grams:\n-0.1000\ta b\n-0.1500\t<s> a\n", "")
+    with pytest.raises(MalformedArpa, match="declared 2 2-grams, found 0") as exc:
+        read_arpa(io.StringIO(no_bigrams))
+    assert exc.value.lineno == 12  # the \end\ line
+
+
 def test_file_round_trip(tmp_path, sig_lm5):
     path = tmp_path / "model.arpa"
     write_arpa_file(sig_lm5, path)

@@ -265,9 +265,18 @@ def test_train_missing_corpus_exits_2(tmp_path, data_dir, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_train_malformed_corpus_exits_2(tmp_path, data_dir, capsys):
+@pytest.mark.parametrize(
+    "text",
+    [
+        "word\tNN\n\n",
+        "a\tDT\tB-NP\n<unk>\tNN\tI-NP\n\n",
+        "a\tDT\tB-</s>\n\n",
+    ],
+    ids=["two-columns", "reserved-word", "reserved-label"],
+)
+def test_train_malformed_corpus_exits_2(tmp_path, data_dir, capsys, text):
     bad = tmp_path / "bad.conll"
-    bad.write_text("word\tNN\n\n", encoding="utf-8")  # two columns only
+    bad.write_text(text, encoding="utf-8")
     path = write_config(tmp_path, data_dir, corpus=str(bad))
     assert main(["train", "--config", str(path)]) == 2
     assert "error:" in capsys.readouterr().err

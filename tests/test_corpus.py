@@ -54,6 +54,22 @@ def test_bad_chunk_tag_rejected():
     assert exc.value.lineno == 1
 
 
+@pytest.mark.parametrize(
+    "line", ["<unk> NN B-NP", "<s> DT O", "</s> NN I-NP", "x NN B-<unk>", "x NN B-<s>", "x NN B-</s>"]
+)
+def test_reserved_model_symbols_rejected(line):
+    # a word or chunk label equal to a model symbol would share its n-gram
+    # entry (KN training overwrites a word's unigram with the OOV mass)
+    with pytest.raises(MalformedLine) as exc:
+        parse_conll(io.StringIO("the DT B-NP\n" + line + "\n"))
+    assert exc.value.lineno == 2
+
+
+def test_reserved_symbols_allowed_as_pos():
+    (sent,) = parse_conll(io.StringIO("x <unk> B-NP\n"))
+    assert sent.tokens[0].pos == "<unk>"
+
+
 def test_illegal_bio_orphan_inside_tag():
     with pytest.raises(IllegalBIO) as exc:
         parse_conll(io.StringIO("the DT B-NP\nran VBD I-VP\n"))

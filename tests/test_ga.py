@@ -15,6 +15,7 @@ from templex.ga import (
     PAIR_CAP_FACTOR,
     STATS_HEADER,
     Summary,
+    _extend,
     compose,
     crossover,
     evolve_generation,
@@ -149,6 +150,25 @@ def test_composed_summary_equals_summary_of_the_concatenation(sig_models, a, b, 
     want = summarize(scorer, a + b)
     for name in Summary._fields:
         assert getattr(got, name) == getattr(want, name), name
+
+
+@settings(max_examples=200, deadline=None)
+@given(items=tag_lists, cut=st.integers(0, 7), which=st.integers(0, 3))
+def test_extension_is_one_rule(sig_models, items, cut, which):
+    # the open and closed walks meet after order - 1 items, and extending by
+    # ids one at a time, or in two parts, equals extending by all at once
+    scorer = sig_models[which].scorer
+    ids = scorer.encode(items)
+    empty = summarize(scorer, [])
+    whole = _extend(empty, ids)
+    assert _extend(_extend(empty, ids[:cut]), ids[cut:]) == whole
+    s = empty
+    for n in range(len(ids) + 1):
+        if n >= scorer.tables.order - 1:
+            assert s.closed_state == s.open_state, n
+        if n < len(ids):
+            s = _extend(s, ids[n : n + 1])
+    assert s == whole
 
 
 @settings(max_examples=200, deadline=None)

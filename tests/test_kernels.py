@@ -129,14 +129,21 @@ def test_bos_state_backs_off_in_single_start_files(data_dir):
     assert t.bos_state == root_step
 
 
-def by_context(t):
-    """Tables keyed by each context's token ids instead of its context id."""
+def context_names(t):
+    """Each context id's token ids, read back from the transition map."""
     base = t.base
     names = {0: ()}
     for key, dst in sorted(t.trans.items(), key=lambda kv: t.ctx_len[kv[1]]):
         names[dst] = names[key // base] + (key % base,)
     assert len(names) == len(t.ctx_len) == len(t.trans) + 1  # one name each
     assert len(set(names.values())) == len(names)
+    return names
+
+
+def by_context(t):
+    """Tables keyed by each context's token ids instead of its context id."""
+    base = t.base
+    names = context_names(t)
     return dict(
         order=t.order,
         base=base,
@@ -230,6 +237,38 @@ def test_score_step_advances_like_walk(token_lm3):
         for tid in ids:
             _, state = sc.kernel.score_step(state, tid)
         assert state == sc.kernel.walk(0, ids)
+
+
+def assert_walk_reaches_the_longest_stored_suffix(model, histories, backend="python"):
+    """The state after each history is the longest suffix of its last
+    order - 1 ids that the reference tables store as a context."""
+    stored = set(context_names(reference_tables(model)).values())
+    sc = make_scorer(model, backend)
+    names = context_names(sc.tables)
+    for ids in histories:
+        window = tuple(ids[max(len(ids) - (model.order - 1), 0) :])
+        want = next(window[i:] for i in range(len(window) + 1) if window[i:] in stored)
+        assert names[sc.kernel.walk(0, ids)] == want, (model.order, ids)
+
+
+@pytest.mark.parametrize("backend", available_backends())
+def test_walk_reaches_the_longest_stored_suffix(token_lm3, sig_lm5, data_dir, backend):
+    rng = random.Random(4097)
+    models = (token_lm3, sig_lm5, read_arpa_file(data_dir / "token_ref.arpa"))
+    for model in models:
+        base = len(model.vocab) + 1  # ids 0..V, the OOV sentinel included
+        histories = [
+            [rng.randrange(base) for _ in range(rng.randrange(8))] for _ in range(300)
+        ]
+        assert_walk_reaches_the_longest_stored_suffix(model, histories, backend)
+
+
+@settings(max_examples=200, deadline=None)
+@given(model=pruned_models(), data=st.data())
+def test_walk_reaches_the_longest_stored_suffix_on_pruned_models(model, data):
+    ids = st.integers(0, len(model.vocab))  # the OOV sentinel included
+    histories = data.draw(st.lists(st.lists(ids, max_size=6), min_size=1, max_size=10))
+    assert_walk_reaches_the_longest_stored_suffix(model, histories)
 
 
 def query_ids(tables, rng, n):
