@@ -17,12 +17,11 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
-from .ngram.counts import BOS, EOS, UNK
+from .ngram.counts import RESERVED
 
 _CHUNK_RE = re.compile(r"^(?:O|[BI]-.+)$")
-_RESERVED = frozenset((BOS, EOS, UNK))  # symbols the n-gram models give a meaning
 
 
 class MalformedLine(ValueError):
@@ -41,8 +40,7 @@ class IllegalBIO(ValueError):
         self.lineno = lineno
 
 
-@dataclass(frozen=True)
-class AnnotatedToken:
+class AnnotatedToken(NamedTuple):
     surface: str
     pos: str
     chunk: str
@@ -129,6 +127,7 @@ def parse_conll(lines: Iterable[str]) -> list[AnnotatedSentence]:
     """
     sentences: list[AnnotatedSentence] = []
     current: list[AnnotatedToken] = []
+    legal: set[str] = set()  # chunk tags already checked
     prev_chunk = "O"
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -142,10 +141,14 @@ def parse_conll(lines: Iterable[str]) -> list[AnnotatedSentence]:
         if len(cols) != 3:
             raise MalformedLine(lineno, raw.rstrip("\n"), "expected 3 columns, got %d" % len(cols))
         surface, pos, chunk = cols
-        if not _CHUNK_RE.match(chunk):
-            raise MalformedLine(lineno, raw.rstrip("\n"), "illegal chunk tag %r" % chunk)
-        if surface in _RESERVED or chunk[2:] in _RESERVED:
-            raise MalformedLine(lineno, raw.rstrip("\n"), "word or chunk label is a reserved model symbol")
+        if chunk not in legal:
+            if not _CHUNK_RE.match(chunk):
+                raise MalformedLine(lineno, raw.rstrip("\n"), "illegal chunk tag %r" % chunk)
+            if chunk[2:] in RESERVED:
+                raise MalformedLine(lineno, raw.rstrip("\n"), "chunk label is a reserved model symbol")
+            legal.add(chunk)
+        if surface in RESERVED:
+            raise MalformedLine(lineno, raw.rstrip("\n"), "word is a reserved model symbol")
         if chunk.startswith("I-"):
             label = chunk[2:]
             if prev_chunk not in ("B-" + label, "I-" + label):
@@ -184,31 +187,24 @@ def _chunks(sentence: AnnotatedSentence) -> Iterator[tuple[str, list[AnnotatedTo
 
 def extract_templates(sentences: Iterable[AnnotatedSentence]) -> TemplateInventory:
     """Segment sentences into chunk templates and merge identical ones."""
-    index: dict[Template, int] = {}
-    templates: list[Template] = []
+    index: dict[tuple[tuple[str, ...], str, tuple[str, ...]], int] = {}
     counts: list[int] = []
     sequences: list[tuple[int, ...]] = []
-    total = 0
     for sentence in sentences:
         seq: list[int] = []
         for tag, toks in _chunks(sentence):
-            tpl = Template(
-                tuple(t.surface for t in toks), tag, pos=tuple(t.pos for t in toks)
-            )
-            at = index.get(tpl)
+            words, pos, _ = zip(*toks)
+            key = (words, tag, pos)
+            at = index.get(key)
             if at is None:
-                at = len(templates)
-                index[tpl] = at
-                templates.append(tpl)
+                at = index[key] = len(counts)
                 counts.append(0)
             counts[at] += 1
-            total += 1
             seq.append(at)
         sequences.append(tuple(seq))
-    merged = [
-        Template(t.items, t.tag, c, t.pos) for t, c in zip(templates, counts)
-    ]
-    return TemplateInventory(merged, sequences, total)
+    # dicts keep insertion order: one Template per key, in first-occurrence order
+    templates = [Template(items, tag, c, pos) for (items, tag, pos), c in zip(index, counts)]
+    return TemplateInventory(templates, sequences, sum(counts))
 
 
 def token_counts(sentences: Iterable[AnnotatedSentence]) -> CountTable:
@@ -240,7 +236,9 @@ def parse_inventory_lines(lines: Iterable[str]) -> TemplateInventory:
     templates have an empty ``pos`` and ``sentence_sequences`` is empty; that
     is all generation needs.  Raises MalformedLine for a wrong field count,
     a count that is not an integer >= 1, an empty tag or one containing
-    whitespace, or an empty item.
+    whitespace, an empty item, or a tag or item that is a reserved model
+    symbol (``<s>``, ``</s>``, ``<unk>``; a gap such as ``__<unk>__`` is
+    legal).
     """
     templates: list[Template] = []
     total = 0
@@ -263,6 +261,8 @@ def parse_inventory_lines(lines: Iterable[str]) -> TemplateInventory:
         items = tuple(items_s.split(" "))
         if "" in items:
             raise MalformedLine(lineno, line, "empty item")
+        if tag in RESERVED or not RESERVED.isdisjoint(items):
+            raise MalformedLine(lineno, line, "tag or item is a reserved model symbol")
         templates.append(Template(items, tag, count))
         total += count
     return TemplateInventory(templates, [], total)

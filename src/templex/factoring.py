@@ -6,9 +6,10 @@ Two thresholding strategies, both strict comparisons:
 * relative -- gap every word whose frequency rank is above the threshold
   (rank 1 is the most frequent word, so numerically larger means rarer).
 
-Words missing from the count table gap under either strategy.  A gapped
-word becomes the string ``__POS__`` of its corpus POS tag, so templates and
-the token stream stay plain strings.
+Words missing from the count table gap under either strategy, so a policy
+is fixed, per table, by the set of table words it keeps (``FactorPolicy.kept``).
+A gapped word becomes the string ``__POS__`` of its corpus POS tag, so
+templates and the token stream stay plain strings.
 """
 
 from __future__ import annotations
@@ -39,6 +40,10 @@ class FactorPolicy:
             return table.count(word) < self.threshold
         return table.rank(word) > self.threshold
 
+    def kept(self, table: CountTable) -> frozenset[str]:
+        """The table words this policy does not gap; every other word gaps."""
+        return frozenset(w for w in table.counts if not self.gaps(w, table))
+
 
 def factor_token(word: str, pos: str, table: CountTable, policy: FactorPolicy) -> str:
     """The word itself, or its gap ``__POS__`` when the policy gaps it."""
@@ -55,32 +60,33 @@ def bare_factors(surface: str) -> str:
     return " ".join(m.group(1) if (m := _GAP_RE.match(tok)) else tok for tok in surface.split(" "))
 
 
-def _factor_template(t: Template, table: CountTable, policy: FactorPolicy) -> Template:
-    # A gap is no corpus word, so it counts 0 and re-gaps to itself.
-    items = tuple(factor_token(w, p, table, policy) for w, p in zip(t.items, t.pos, strict=True))
-    return Template(items, t.tag, t.count, t.pos)
+def _factor_template(t: Template, kept: frozenset[str]) -> tuple[str, ...]:
+    """The items of ``t`` with every word outside ``kept`` gapped."""
+    # A gap re-factors to itself: kept or not, it is ``__POS__`` of its own POS.
+    return tuple(
+        w if w in kept else "__%s__" % p for w, p in zip(t.items, t.pos, strict=True)
+    )
 
 
 def factor_inventory(
     inv: TemplateInventory, table: CountTable, policy: FactorPolicy
 ) -> TemplateInventory:
     """Factor every template, merging any that become identical."""
-    index: dict[Template, int] = {}
-    merged: list[Template] = []
+    kept = policy.kept(table)
+    index: dict[tuple[tuple[str, ...], str, tuple[str, ...]], int] = {}
     counts: list[int] = []
     remap: list[int] = []
     for t in inv.templates:
-        ft = _factor_template(t, table, policy)
-        at = index.get(ft)
+        key = (_factor_template(t, kept), t.tag, t.pos)
+        at = index.get(key)
         if at is None:
-            at = len(merged)
-            index[ft] = at
-            merged.append(ft)
+            at = index[key] = len(counts)
             counts.append(0)
         counts[at] += t.count
         remap.append(at)
-    templates = [Template(t.items, t.tag, c, t.pos) for t, c in zip(merged, counts)]
-    sequences = [tuple(remap[i] for i in seq) for seq in inv.sentence_sequences]
+    # dicts keep insertion order: one Template per key, in first-occurrence order
+    templates = [Template(items, tag, c, pos) for (items, tag, pos), c in zip(index, counts)]
+    sequences = [tuple(map(remap.__getitem__, seq)) for seq in inv.sentence_sequences]
     return TemplateInventory(templates, sequences, inv.total)
 
 
@@ -88,7 +94,8 @@ def factored_token_stream(
     sentences: Iterable[AnnotatedSentence], table: CountTable, policy: FactorPolicy
 ) -> list[list[str]]:
     """Render each sentence with rare words gapped, for token-model training."""
+    kept = policy.kept(table)
     return [
-        [factor_token(t.surface, t.pos, table, policy) for t in s.tokens]
+        [w if w in kept else "__%s__" % p for w, p, _ in s.tokens]
         for s in sentences
     ]

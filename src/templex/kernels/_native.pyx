@@ -85,6 +85,10 @@ cdef class NativeScorer:
         cdef int64_t s = state
         return self._score(s, tid)
 
+    def advance(self, state, tid):
+        cdef int64_t s = state
+        return self._advance(s, tid)
+
     def score_step(self, state, tid):
         cdef int64_t s = state
         cdef int64_t x = tid

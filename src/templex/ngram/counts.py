@@ -9,12 +9,17 @@ the lower-order smoothed distributions are built from.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 BOS = "<s>"
 EOS = "</s>"
 UNK = "<unk>"
+# Symbols the models give a meaning; no training sequence may contain one.
+RESERVED = frozenset((BOS, EOS, UNK))
 # log10 score of anything a model cannot score better; no query returns -inf
 LOG_FLOOR = -99.0
 
@@ -53,33 +58,40 @@ class NGramCounts:
 
 
 def count_ngrams(sequences: Iterable[Sequence[str]], order: int) -> NGramCounts:
+    """Count every padded k-gram, k <= order, and the continuation counts.
+
+    Raises ValueError for an empty sequence or one that contains a reserved
+    symbol (``<s>``, ``</s>``, ``<unk>``), naming its position, and
+    EmptyCorpus when there are no sequences.  Grams are inserted in order of
+    first occurrence.
+    """
     if order < 1:
         raise ValueError("order must be >= 1, got %d" % order)
-    raw: list[dict[NGram, int]] = [dict() for _ in range(order)]
     vocab: set[str] = set()
-    nseq = 0
     pad = (BOS,) * (order - 1)
-    for seq in sequences:
+    padded: list[tuple[str, ...]] = []
+    for nseq, seq in enumerate(sequences):
         toks = tuple(seq)
         if not toks:
             raise ValueError("empty sequence at position %d" % nseq)
+        if not RESERVED.isdisjoint(toks):
+            raise ValueError(
+                "sequence at position %d contains the reserved symbol %r"
+                % (nseq, min(RESERVED.intersection(toks)))
+            )
         vocab.update(toks)
-        padded = pad + toks + (EOS,)
-        nseq += 1
-        for k in range(1, order + 1):
-            grams = raw[k - 1]
-            for i in range(len(padded) - k + 1):
-                g = padded[i : i + k]
-                grams[g] = grams.get(g, 0) + 1
-    if nseq == 0:
+        padded.append(pad + toks + (EOS,))
+    if not padded:
         raise EmptyCorpus("no sequences to count")
-    continuation: list[dict[NGram, int]] = [dict() for _ in range(order)]
-    for k in range(1, order):
-        cont = continuation[k - 1]
-        # Raw (k+1)-gram types are distinct (left-extension, k-gram) pairs.
-        for g in raw[k]:
-            suffix = g[1:]
-            cont[suffix] = cont.get(suffix, 0) + 1
+    # zip of k shifted copies of a sequence yields its k-grams left to right
+    raw: list[dict[NGram, int]] = [
+        Counter(chain.from_iterable(zip(*[p[j:] for j in range(k)]) for p in padded))
+        for k in range(1, order + 1)
+    ]
+    # Raw (k+1)-gram types are distinct (left-extension, k-gram) pairs, so
+    # counting their suffixes gives the order-k continuation counts.
+    drop_first = itemgetter(slice(1, None))
+    continuation: list[dict[NGram, int]] = [Counter(map(drop_first, g)) for g in raw[1:]] + [{}]
     vocab.add(BOS)
     vocab.add(EOS)
-    return NGramCounts(order, raw, continuation, frozenset(vocab), nseq)
+    return NGramCounts(order, raw, continuation, frozenset(vocab), len(padded))

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: configs, artifacts, exit codes."""
 
+import gc
 import hashlib
 import os
 import shutil
@@ -426,6 +427,18 @@ def test_generate_corrupt_model_exits_2(tmp_path, data_dir, capsys):
     assert "bad model file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", ["1\t<unk>\tthe", "2\tNP\tthe </s>"])
+def test_generate_reserved_inventory_symbol_exits_2(tmp_path, data_dir, capsys, bad):
+    path = trained_config(tmp_path, data_dir)
+    with open(tmp_path / "out" / cli.INVENTORY_FILE, "a", encoding="utf-8") as fh:
+        fh.write(bad + "\n")
+    reseal(tmp_path / "out")
+    capsys.readouterr()
+    assert main(["generate", "--config", str(path)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and "reserved model symbol" in lines[0], lines
+
+
 @pytest.mark.parametrize("bad", ["1\t\tthe", "2\tN P\tcat"])
 def test_generate_bad_inventory_tag_exits_2(tmp_path, data_dir, capsys, bad):
     path = trained_config(tmp_path, data_dir)
@@ -669,6 +682,30 @@ def test_usage_error_exits_1(capsys):
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert "train" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["--help"], 0), (["explode"], 1), (["inspect", "no-such-dir"], 2)],
+    ids=["exit-0", "exit-1", "exit-2"],
+)
+def test_main_restores_the_callers_gc_state(tmp_path, monkeypatch, capsys, enabled, argv, code):
+    # main pauses the cyclic collector for the command, and in-process
+    # callers get their own setting back, whatever the exit code
+    seen = []
+    inspect = cli.cmd_inspect
+    monkeypatch.setattr(cli, "cmd_inspect", lambda *a: seen.append(gc.isenabled()) or inspect(*a))
+    monkeypatch.chdir(tmp_path)
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert main(argv) == code
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()
+    assert seen == ([False] if argv[0] == "inspect" else [])
 
 
 def test_console_entry_point_installed(tmp_path):

@@ -255,6 +255,19 @@ def test_parse_inventory_rejects_bad_lines():
             parse_inventory_lines([line])
 
 
+@pytest.mark.parametrize(
+    "line", ["1\t<unk>\tthe", "1\t</s>\tthe", "2\tNP\tthe <unk>", "2\tNP\t<s> cat"]
+)
+def test_parse_inventory_rejects_reserved_symbols(line):
+    with pytest.raises(MalformedLine, match="reserved"):
+        parse_inventory_lines([line])
+
+
+def test_parse_inventory_accepts_a_gap_of_a_reserved_pos():
+    (t,) = parse_inventory_lines(["3\tNP\tthe __<unk>__"]).templates
+    assert t.items == ("the", "__<unk>__")
+
+
 def test_template_identity_ignores_count():
     a = Template(("the",), "NP", 1, ("DT",))
     b = Template(("the",), "NP", 7, ("DT",))

@@ -3,7 +3,7 @@
 import pytest
 
 from oracles import brute_count
-from templex.ngram import BOS, EOS, EmptyCorpus, count_ngrams
+from templex.ngram import BOS, EOS, UNK, EmptyCorpus, count_ngrams, train
 
 
 def test_bigram_counts_forced_by_padding():
@@ -25,6 +25,17 @@ def test_empty_corpus_raises():
 def test_empty_sequence_rejected():
     with pytest.raises(ValueError):
         count_ngrams([["a"], []], 2)
+
+
+@pytest.mark.parametrize("symbol", [BOS, EOS, UNK])
+def test_reserved_symbol_in_a_sequence_rejected(symbol):
+    # a word spelled like a model symbol would share its n-gram entry: KN
+    # training overwrites a word "<unk>"'s unigram with the OOV mass
+    seqs = [["a", "b"], ["a", symbol, "b"], ["c"]]
+    with pytest.raises(ValueError, match=r"position 1 .*%s" % symbol):
+        count_ngrams(seqs, 2)
+    with pytest.raises(ValueError, match="reserved symbol"):
+        train(seqs, 2)
 
 
 def test_order_validation():

@@ -3,6 +3,7 @@
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from templex.corpus import (
     AnnotatedSentence,
@@ -156,10 +157,10 @@ def test_gaps_pass_through_unchanged(desk_table):
     # a gap keeps its POS regardless of the policy applied on top
     from templex.factoring import _factor_template
 
-    ft = _factor_template(t, table, FactorPolicy("absolute", 2))
+    ft = Template(_factor_template(t, FactorPolicy("absolute", 2).kept(table)), t.tag, 1, t.pos)
     assert ft.items == ("the", "__NN__")
-    ft2 = _factor_template(ft, table, FactorPolicy("absolute", 10**9))
-    assert ft2.items == ("__DT__", "__NN__")
+    ft2_items = _factor_template(ft, FactorPolicy("absolute", 10**9).kept(table))
+    assert ft2_items == ("__DT__", "__NN__")
 
 
 def test_pos_ambiguous_templates_stay_apart():
@@ -175,3 +176,65 @@ def test_pos_ambiguous_templates_stay_apart():
     out = factor_inventory(inv, token_counts(sents), FactorPolicy("absolute", 3))
     assert len(out.templates) == 2
     assert list(inventory_lines(out)) == ["1\tNP\t__NN__", "1\tNP\t__VB__"]
+
+
+# ------------------------------------------- kept-set factoring vs factor_token
+
+_POS = ["NN", "VB", "DT"]
+# "__NN__" is a corpus word spelled like a gap; it must factor as a word
+_WORDS = ["a", "b", "c", "d", "e", "__NN__"]
+
+
+@st.composite
+def _sentences(draw):
+    sentences = []
+    for chunks in draw(st.lists(st.lists(st.tuples(
+            st.sampled_from(["NP", "VP", "O"]),
+            st.lists(st.tuples(st.sampled_from(_WORDS), st.sampled_from(_POS)), min_size=1, max_size=3),
+    ), min_size=1, max_size=4), min_size=1, max_size=6)):
+        tokens = []
+        for tag, words in chunks:
+            for i, (word, pos) in enumerate(words):
+                chunk = "O" if tag == "O" else ("B-" if i == 0 else "I-") + tag
+                tokens.append(AnnotatedToken(word, pos, chunk))
+        sentences.append(AnnotatedSentence(tuple(tokens)))
+    return sentences
+
+
+def _reference_factoring(inv, table, policy):
+    """factor_inventory as one factor_token call per item, merging on
+    Template identity in first-occurrence order."""
+    merged: dict[Template, int] = {}
+    remap = []
+    for t in inv.templates:
+        items = tuple(factor_token(w, p, table, policy) for w, p in zip(t.items, t.pos))
+        ft = Template(items, t.tag, pos=t.pos)
+        merged[ft] = merged.get(ft, 0) + t.count
+        remap.append(list(merged).index(ft))
+    templates = [(t.items, t.tag, c, t.pos) for t, c in merged.items()]
+    return templates, [tuple(remap[i] for i in seq) for seq in inv.sentence_sequences]
+
+
+def _gap_word_sentences(n_gap_word):
+    """``n_gap_word`` uses of the corpus word "__NN__" beside gappable words."""
+    tokens = [AnnotatedToken("__NN__", "JJ", "B-NP")] * n_gap_word
+    tokens += [AnnotatedToken("x", "NN", "B-NP"), AnnotatedToken("y", "NN", "I-NP")]
+    return [AnnotatedSentence(tuple(tokens)), AnnotatedSentence(tokens[-2:])]
+
+
+@given(_sentences(), st.sampled_from(["absolute", "relative"]), st.integers(1, 8))
+@example(_gap_word_sentences(5), "absolute", 3)  # the gap-spelled word is frequent
+@example(_gap_word_sentences(1), "absolute", 3)  # ... and rare
+@example(_gap_word_sentences(5), "relative", 1)
+@example(_gap_word_sentences(1), "relative", 1)
+def test_kept_set_factoring_matches_factor_token(sentences, mode, threshold):
+    table = token_counts(sentences)
+    policy = FactorPolicy(mode, threshold)
+    stream = factored_token_stream(sentences, table, policy)
+    assert stream == [
+        [factor_token(t.surface, t.pos, table, policy) for t in s.tokens] for s in sentences
+    ]
+    out = factor_inventory(extract_templates(sentences), table, policy)
+    templates, sequences = _reference_factoring(extract_templates(sentences), table, policy)
+    assert [(t.items, t.tag, t.count, t.pos) for t in out.templates] == templates
+    assert out.sentence_sequences == sequences

@@ -297,6 +297,8 @@ def test_score_bit_identical_across_backends(token_lm3, sig_lm5):
             for tid in query_ids(py.tables, rng, 6):
                 assert py.kernel.score(state, tid) == nat.kernel.score(state, tid), (
                     model.order, state, tid)
+                assert py.kernel.advance(state, tid) == nat.kernel.advance(state, tid), (
+                    model.order, state, tid)
 
 
 def test_ends_match_string_queries(token_lm3, desk_token_seqs):
