@@ -427,19 +427,7 @@ def test_generate_corrupt_model_exits_2(tmp_path, data_dir, capsys):
     assert "bad model file" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("bad", ["1\t<unk>\tthe", "2\tNP\tthe </s>"])
-def test_generate_reserved_inventory_symbol_exits_2(tmp_path, data_dir, capsys, bad):
-    path = trained_config(tmp_path, data_dir)
-    with open(tmp_path / "out" / cli.INVENTORY_FILE, "a", encoding="utf-8") as fh:
-        fh.write(bad + "\n")
-    reseal(tmp_path / "out")
-    capsys.readouterr()
-    assert main(["generate", "--config", str(path)]) == 2
-    lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1 and "reserved model symbol" in lines[0], lines
-
-
-@pytest.mark.parametrize("bad", ["1\t\tthe", "2\tN P\tcat"])
+@pytest.mark.parametrize("bad", ["1\t\tthe", "2\tN P\tcat", "1\t<unk>\tthe", "2\tNP\tthe </s>"])
 def test_generate_bad_inventory_tag_exits_2(tmp_path, data_dir, capsys, bad):
     path = trained_config(tmp_path, data_dir)
     with open(tmp_path / "out" / cli.INVENTORY_FILE, "a", encoding="utf-8") as fh:
