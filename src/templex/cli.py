@@ -1,10 +1,11 @@
 """Command-line surface: train artifacts, run evolution, inspect results.
 
 Runs are driven by a flat ``key=value`` config file.  ``train`` persists the
-factored inventory, both ARPA models, and a manifest keyed by a hash of the
-training-relevant settings (corpus bytes, factoring policy, model orders);
-``generate`` refuses to run against artifacts trained under a different hash.
-The manifest also records the sha256 of the inventory and of both models,
+factored inventory, both models as ARPA text (the interchange format) and as
+compiled scorer tables (what ``generate`` loads), and a manifest keyed by a
+hash of the training-relevant settings (corpus bytes, factoring policy, model
+orders); ``generate`` refuses to run against artifacts trained under a
+different hash.  The manifest also records the sha256 of those five files,
 and ``generate`` checks them before it parses anything, so an artifact
 truncated or edited since ``train`` is an error, not a different run.  Every
 file is written to a temporary file beside it and then renamed into place,
@@ -26,6 +27,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from . import kernels
 from .corpus import (
     IllegalBIO,
     MalformedLine,
@@ -44,22 +46,32 @@ from .factoring import (
     factored_token_stream,
 )
 from .ga import STATS_HEADER, FitnessOverflow, GAConfig, population_lines, run, stats_csv_lines
-from .kernels import DEFAULT_BACKEND, available_backends
-from .ngram import MalformedArpa, read_arpa_file, train, write_arpa_file
+from .kernels import DEFAULT_BACKEND, MalformedTables, available_backends, read_tables, write_tables
+# generate reads no ARPA; read_arpa_file stays because perfbench/tracing.py wraps it by name
+from .ngram import read_arpa_file, train, write_arpa_file  # noqa: F401
 
 OUTDIR_ENV = "TEMPLEX_OUTDIR"
 
 INVENTORY_FILE = "inventory.tsv"
 TOKEN_LM_FILE = "token_lm.arpa"
 SIGNATURE_LM_FILE = "signature_lm.arpa"
+TOKEN_TABLES_FILE = "token_lm.tables"
+SIGNATURE_TABLES_FILE = "signature_lm.tables"
 MANIFEST_FILE = "manifest.txt"
 RESOLVED_CONFIG_FILE = "config.resolved"
 STATS_FILE = "stats.csv"
 POPULATION_FILE = "population.txt"
 
-# The trained files that generate reads; the manifest records each one's
-# sha256 under DIGEST_KEY.
-ARTIFACT_FILES = (INVENTORY_FILE, TOKEN_LM_FILE, SIGNATURE_LM_FILE)
+# The trained files; the manifest records each one's sha256 under
+# DIGEST_KEY.  generate reads the inventory and the tables files, and checks
+# the ARPA files too, so that all five come from one train.
+ARTIFACT_FILES = (
+    INVENTORY_FILE,
+    TOKEN_LM_FILE,
+    SIGNATURE_LM_FILE,
+    TOKEN_TABLES_FILE,
+    SIGNATURE_TABLES_FILE,
+)
 DIGEST_KEY = "sha256.%s"
 
 
@@ -257,15 +269,19 @@ def cmd_train(cfg: RunConfig) -> int:
     if not sentences:
         raise DataError("corpus %s contains no sentences" % cfg.corpus)
 
+    n_sentences = len(sentences)
     inventory = extract_templates(sentences)
     raw_unique = len(inventory.templates)
     if cfg.policy is not None:
         table = token_counts(sentences)
         inventory = factor_inventory(inventory, table, cfg.policy)
         token_seqs = factored_token_stream(sentences, table, cfg.policy)
+        del table
     else:
         token_seqs = [[t.surface for t in s.tokens] for s in sentences]
+    del sentences  # the token stream and the inventory hold all that is left to use
     token_lm = train(token_seqs, cfg.token_lm_order)
+    del token_seqs
     sig_lm = train(inventory.signature_sequences(), cfg.signature_lm_order)
 
     outdir = cfg.outdir
@@ -281,9 +297,15 @@ def cmd_train(cfg: RunConfig) -> int:
         raise DataError("cannot remove old manifest in %s: %s" % (outdir, exc)) from None
     _write_lines(outdir / INVENTORY_FILE, inventory_lines(inventory))
     try:
-        for model, name in ((token_lm, TOKEN_LM_FILE), (sig_lm, SIGNATURE_LM_FILE)):
-            with _replacing(outdir / name) as tmp:
-                write_arpa_file(model, tmp)
+        for model, arpa_name, tables_name in (
+            (token_lm, TOKEN_LM_FILE, TOKEN_TABLES_FILE),
+            (sig_lm, SIGNATURE_LM_FILE, SIGNATURE_TABLES_FILE),
+        ):
+            with _replacing(outdir / arpa_name) as tmp:
+                tables = write_arpa_file(model, tmp)
+            with _replacing(outdir / tables_name) as tmp:
+                write_tables(tables, tmp)
+            del tables
         digests = artifact_digests(outdir)
     except OSError as exc:
         raise DataError("cannot write models: %s" % exc) from None
@@ -291,7 +313,7 @@ def cmd_train(cfg: RunConfig) -> int:
         outdir / MANIFEST_FILE,
         [
             "config_hash=%s" % config_hash(cfg),
-            "sentences=%d" % len(sentences),
+            "sentences=%d" % n_sentences,
             "templates_raw=%d" % raw_unique,
             "templates_factored=%d" % len(inventory.templates),
         ]
@@ -300,7 +322,7 @@ def cmd_train(cfg: RunConfig) -> int:
     _write_lines(outdir / RESOLVED_CONFIG_FILE, resolved_config_lines(cfg))
     print(
         "trained on %d sentences: %d templates (%d before factoring)"
-        % (len(sentences), len(inventory.templates), raw_unique)
+        % (n_sentences, len(inventory.templates), raw_unique)
     )
     print("wrote %s" % outdir)
     return 0
@@ -362,17 +384,20 @@ def cmd_generate(cfg: RunConfig) -> int:
     if not inventory.templates:
         raise DataError("%s lists no templates" % (outdir / INVENTORY_FILE))
     try:
-        token_lm = read_arpa_file(outdir / TOKEN_LM_FILE)
-        sig_lm = read_arpa_file(outdir / SIGNATURE_LM_FILE)
+        # through the module attribute, which perfbench/tracing.py wraps
+        token_scorer = kernels.make_scorer(read_tables(outdir / TOKEN_TABLES_FILE))
+        sig_scorer = kernels.make_scorer(read_tables(outdir / SIGNATURE_TABLES_FILE))
     except OSError as exc:
         raise DataError("cannot read models: %s" % exc) from None
-    except MalformedArpa as exc:
+    except MalformedTables as exc:
         raise DataError("bad model file: %s" % exc) from None
 
     try:
-        result = run(cfg.ga, inventory, token_lm, sig_lm)
+        result = run(cfg.ga, inventory, token_scorer, sig_scorer)
     except FitnessOverflow as exc:
-        raise DataError("%s: %s; check its backoff weights" % (outdir / SIGNATURE_LM_FILE, exc)) from None
+        raise DataError(
+            "%s: %s; check its backoff weights" % (outdir / SIGNATURE_TABLES_FILE, exc)
+        ) from None
     _write_lines(outdir / STATS_FILE, stats_csv_lines(result.stats))
     _write_lines(outdir / POPULATION_FILE, population_lines(result.population))
     _write_lines(outdir / RESOLVED_CONFIG_FILE, resolved_config_lines(cfg))
@@ -472,11 +497,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     # The cyclic collector is paused for the command.  Each full pass
     # rescans every live token, template and count dict and frees nothing:
-    # the only cyclic garbage a command makes is a fixed ~120-140 objects
-    # (argparse's parser, and on generate the recursive helper build_tables
-    # defines per model), however large the corpus or the run.  Reference
-    # counting frees everything else.  The caller's setting is restored on
-    # the way out, so in-process callers get their collector back.
+    # the only cyclic garbage a command makes is argparse's parser, a fixed
+    # ~120 objects however large the corpus or the run.  Reference counting
+    # frees everything else.  The caller's setting is restored on the way
+    # out, so in-process callers get their collector back.
     was_enabled = gc.isenabled()
     gc.disable()
     try:

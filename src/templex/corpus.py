@@ -8,7 +8,7 @@ sentence is fully covered by its template sequence.
 
 A template is a tuple of strings: words, and gaps written ``__POS__``
 (which factoring introduces).  The same strings go into ``inventory.tsv``
-and into every chromosome surface.
+and into every chromosome surface, so no corpus word may have a gap's form.
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ from typing import Iterable, Iterator, NamedTuple
 from .ngram.counts import RESERVED
 
 _CHUNK_RE = re.compile(r"^(?:O|[BI]-.+)$")
+# the form of a gap, ``__POS__``; group 1 is the POS
+GAP_RE = re.compile(r"^__(.+)__$")
 
 
 class MalformedLine(ValueError):
@@ -120,14 +122,21 @@ class CountTable:
 def parse_conll(lines: Iterable[str]) -> list[AnnotatedSentence]:
     """Parse 3-column chunker output into sentences.
 
-    Raises MalformedLine for wrong column counts, illegal chunk tags and a
+    Raises MalformedLine for wrong column counts, illegal chunk tags, a
     word or chunk label that is a reserved model symbol (``<s>``, ``</s>``,
-    ``<unk>``), and IllegalBIO for I- tags with no matching predecessor.
+    ``<unk>``) and a word of a gap's form ``__X__`` (it would be the same
+    string as the gap of every factored word of POS ``X``), and IllegalBIO
+    for I- tags with no matching predecessor.  A POS of any form is legal.
     Trailing blank lines are ignored.
     """
     sentences: list[AnnotatedSentence] = []
     current: list[AnnotatedToken] = []
-    legal: set[str] = set()  # chunk tags already checked
+    # each word, POS and chunk tag already seen (and checked), mapped to its
+    # first object: tokens share one string per distinct value, so later
+    # tuple compares and dict lookups of equal tokens succeed on identity
+    words: dict[str, str] = {}
+    tags: dict[str, str] = {}
+    chunks: dict[str, str] = {}
     prev_chunk = "O"
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -141,14 +150,23 @@ def parse_conll(lines: Iterable[str]) -> list[AnnotatedSentence]:
         if len(cols) != 3:
             raise MalformedLine(lineno, raw.rstrip("\n"), "expected 3 columns, got %d" % len(cols))
         surface, pos, chunk = cols
-        if chunk not in legal:
+        seen = chunks.get(chunk)
+        if seen is None:
             if not _CHUNK_RE.match(chunk):
                 raise MalformedLine(lineno, raw.rstrip("\n"), "illegal chunk tag %r" % chunk)
             if chunk[2:] in RESERVED:
                 raise MalformedLine(lineno, raw.rstrip("\n"), "chunk label is a reserved model symbol")
-            legal.add(chunk)
-        if surface in RESERVED:
-            raise MalformedLine(lineno, raw.rstrip("\n"), "word is a reserved model symbol")
+            seen = chunks[chunk] = chunk
+        chunk = seen
+        seen = words.get(surface)
+        if seen is None:
+            if surface in RESERVED:
+                raise MalformedLine(lineno, raw.rstrip("\n"), "word is a reserved model symbol")
+            if GAP_RE.match(surface):
+                raise MalformedLine(lineno, raw.rstrip("\n"), "word has the form of a factor gap")
+            seen = words[surface] = surface
+        surface = seen
+        pos = tags.setdefault(pos, pos)
         if chunk.startswith("I-"):
             label = chunk[2:]
             if prev_chunk not in ("B-" + label, "I-" + label):
@@ -190,11 +208,12 @@ def extract_templates(sentences: Iterable[AnnotatedSentence]) -> TemplateInvento
     index: dict[tuple[tuple[str, ...], str, tuple[str, ...]], int] = {}
     counts: list[int] = []
     sequences: list[tuple[int, ...]] = []
+    labels: dict[str, str] = {}  # one string per chunk label, as parse_conll does for tokens
     for sentence in sentences:
         seq: list[int] = []
         for tag, toks in _chunks(sentence):
             words, pos, _ = zip(*toks)
-            key = (words, tag, pos)
+            key = (words, labels.setdefault(tag, tag), pos)
             at = index.get(key)
             if at is None:
                 at = index[key] = len(counts)

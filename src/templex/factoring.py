@@ -14,11 +14,11 @@ templates and the token stream stay plain strings.
 
 from __future__ import annotations
 
-import re
+import sys
 from dataclasses import dataclass
 from typing import Iterable
 
-from .corpus import AnnotatedSentence, CountTable, Template, TemplateInventory
+from .corpus import GAP_RE, AnnotatedSentence, CountTable, Template, TemplateInventory
 
 ABSOLUTE = "absolute"
 RELATIVE = "relative"
@@ -52,12 +52,9 @@ def factor_token(word: str, pos: str, table: CountTable, policy: FactorPolicy) -
     return word
 
 
-_GAP_RE = re.compile(r"^__(.+)__$")
-
-
 def bare_factors(surface: str) -> str:
     """Display form: gaps shown as their bare POS (``__NN__`` -> ``NN``)."""
-    return " ".join(m.group(1) if (m := _GAP_RE.match(tok)) else tok for tok in surface.split(" "))
+    return " ".join(m.group(1) if (m := GAP_RE.match(tok)) else tok for tok in surface.split(" "))
 
 
 def _factor_template(t: Template, kept: frozenset[str]) -> tuple[str, ...]:
@@ -96,6 +93,6 @@ def factored_token_stream(
     """Render each sentence with rare words gapped, for token-model training."""
     kept = policy.kept(table)
     return [
-        [w if w in kept else "__%s__" % p for w, p, _ in s.tokens]
+        [w if w in kept else sys.intern("__%s__" % p) for w, p, _ in s.tokens]
         for s in sentences
     ]

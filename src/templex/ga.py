@@ -56,7 +56,6 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .corpus import Template, TemplateInventory
 from .kernels import ModelScorer
-from .ngram.model import NGramModel
 
 
 class EmptyInventory(ValueError):
@@ -219,9 +218,9 @@ def _ends(c: Chromosome, scorer) -> tuple:
     return c.ends
 
 
-def junction_probability(lm: NGramModel, left: Chromosome, right: Chromosome) -> float:
-    """Probability of the first token of ``right`` following the end of ``left``."""
-    scorer = lm.scorer
+def junction_probability(scorer: ModelScorer, left: Chromosome, right: Chromosome) -> float:
+    """Probability of the first token of ``right`` following the end of
+    ``left`` under the token scorer."""
     tail = left.ends
     if tail is None or tail[0] is not scorer:
         tail = _ends(left, scorer)
@@ -260,7 +259,7 @@ def mutate(
     return c
 
 
-def fitness(c: Chromosome, sig_lm: NGramModel, cfg: GAConfig) -> float:
+def fitness(c: Chromosome, scorer: ModelScorer, cfg: GAConfig) -> float:
     """Length-normalized signature score in (0, 1].
 
     Uses the larger of the two per-length negative log costs -- the open
@@ -268,10 +267,9 @@ def fitness(c: Chromosome, sig_lm: NGramModel, cfg: GAConfig) -> float:
     distance to the target length (clamped to >= 1) -- and maps it through
     10**(-cost), so 1.0 means every transition had probability one.  Both
     costs come from ``c.summary``, built by one walk when ``c`` carries none
-    for this scorer.  Raises ``FitnessOverflow`` when 10**(-cost) does not
-    fit a float.
+    for the signature scorer.  Raises ``FitnessOverflow`` when 10**(-cost)
+    does not fit a float.
     """
-    scorer = sig_lm.scorer
     s = c.summary
     if s is None or s.scorer is not scorer:
         s = c.summary = summarize(scorer, c.signature)
@@ -289,7 +287,7 @@ def fitness(c: Chromosome, sig_lm: NGramModel, cfg: GAConfig) -> float:
 
 
 def init_population(
-    inventory: TemplateInventory, cfg: GAConfig, sig_lm: NGramModel, rng: random.Random
+    inventory: TemplateInventory, cfg: GAConfig, sig_scorer: ModelScorer, rng: random.Random
 ) -> GAState:
     """Population of single random templates, fitness precomputed."""
     if not inventory.templates:
@@ -297,7 +295,7 @@ def init_population(
     population = []
     for _ in range(cfg.population_size):
         c = single(inventory.templates[rng.randrange(len(inventory.templates))])
-        c.fitness = fitness(c, sig_lm, cfg)
+        c.fitness = fitness(c, sig_scorer, cfg)
         population.append(c)
     return GAState(0, population, [_gen_stats(0, population)])
 
@@ -305,8 +303,8 @@ def init_population(
 def tournament_round(
     state: GAState,
     cfg: GAConfig,
-    lm: NGramModel,
-    sig_lm: NGramModel,
+    scorer: ModelScorer,
+    sig_scorer: ModelScorer,
     inventory: TemplateInventory,
     rng: random.Random,
 ) -> list[Chromosome]:
@@ -320,9 +318,9 @@ def tournament_round(
         for j, q in enumerate(sample):
             if i == j:
                 continue
-            if rng.random() < junction_probability(lm, p, q):
+            if rng.random() < junction_probability(scorer, p, q):
                 child = mutate(crossover(p, q), inventory, cfg, rng)
-                child.fitness = fitness(child, sig_lm, cfg)
+                child.fitness = fitness(child, sig_scorer, cfg)
                 offspring.append(child)
     offspring.sort(key=lambda c: -c.fitness)
     return offspring[: cfg.nbest]
@@ -331,8 +329,8 @@ def tournament_round(
 def evolve_generation(
     state: GAState,
     cfg: GAConfig,
-    lm: NGramModel,
-    sig_lm: NGramModel,
+    scorer: ModelScorer,
+    sig_scorer: ModelScorer,
     inventory: TemplateInventory,
     rng: random.Random,
 ) -> GAState:
@@ -346,7 +344,7 @@ def evolve_generation(
     offspring: list[Chromosome] = []
     pairs = 0
     while len(offspring) < need and pairs < pair_cap:
-        offspring.extend(tournament_round(state, cfg, lm, sig_lm, inventory, rng))
+        offspring.extend(tournament_round(state, cfg, scorer, sig_scorer, inventory, rng))
         pairs += pairs_per_round
     parents = sorted(state.population, key=lambda c: -c.fitness)
     offspring.sort(key=lambda c: -c.fitness)
@@ -361,17 +359,19 @@ def evolve_generation(
 def run(
     cfg: GAConfig,
     inventory: TemplateInventory,
-    lm: NGramModel,
-    sig_lm: NGramModel,
+    scorer: ModelScorer,
+    sig_scorer: ModelScorer,
     observer: Callable[[GAState], None] | None = None,
 ) -> GAState:
-    """Seeded end-to-end evolution for exactly cfg.generations generations."""
+    """Seeded end-to-end evolution for exactly cfg.generations generations,
+    the junction gate on the token ``scorer`` and fitness on ``sig_scorer``
+    (``model.scorer`` of a trained model, or ``make_scorer`` of its tables)."""
     rng = random.Random(cfg.rng_seed)
-    state = init_population(inventory, cfg, sig_lm, rng)
+    state = init_population(inventory, cfg, sig_scorer, rng)
     if observer is not None:
         observer(state)
     for _ in range(cfg.generations):
-        state = evolve_generation(state, cfg, lm, sig_lm, inventory, rng)
+        state = evolve_generation(state, cfg, scorer, sig_scorer, inventory, rng)
         if observer is not None:
             observer(state)
     return state

@@ -10,7 +10,7 @@ import os
 from typing import Sequence
 
 from .pykernel import PyScorer
-from .tables import ScorerTables, build_tables
+from .tables import MalformedTables, ScorerTables, build_tables, read_tables, write_tables
 
 try:
     from ._native import NativeScorer
@@ -35,6 +35,8 @@ class ModelScorer:
 
     Each model holds one, on the default backend, as ``model.scorer``;
     ``make_scorer(model, backend)`` builds another on an explicit backend.
+    Either takes the model's ``ScorerTables`` in place of the model, as
+    ``read_tables`` loads them.
     """
 
     def __init__(self, model, backend: str | None = None):
@@ -43,7 +45,7 @@ class ModelScorer:
             raise ValueError(
                 "unknown kernel backend %r (available: %s)" % (name, ", ".join(available_backends()))
             )
-        self.tables = build_tables(model)
+        self.tables = model if isinstance(model, ScorerTables) else build_tables(model)
         self.kernel = _KERNELS[name](self.tables)
         self.backend = name
 

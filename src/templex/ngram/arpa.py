@@ -5,16 +5,18 @@ Layout: a ``\\data\\`` header with per-order entry counts, then one
 lines (no backoff field at the top order), then ``\\end\\``.  The reader also
 accepts files that omit zero backoffs, as external toolkits do.  Values are
 rendered with 4 decimals, so a write/read round trip preserves them to 1e-4.
-Output is sorted and fully deterministic.
+Output is sorted and fully deterministic.  The writer also compiles the
+scorer tables of what it wrote, which ``train`` stores beside the file.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from itertools import islice
+from itertools import islice, repeat
 from typing import IO, Iterable
 
+from ..kernels.tables import ScorerTables, TableBuilder
 from .counts import LOG_FLOOR, UNK, NGram
 from .model import NGramModel
 
@@ -25,24 +27,41 @@ class MalformedArpa(ValueError):
         self.lineno = lineno
 
 
-def write_arpa(model: NGramModel, stream: IO[str]) -> None:
+def write_arpa(model: NGramModel, stream: IO[str]) -> ScorerTables:
+    """Write ``model`` as ARPA text and return the scorer tables of the text.
+
+    Each value is parsed back from the text written for it and fed to the
+    table builder in the order of the text, so the tables equal
+    ``build_tables(read_arpa(text))`` without reading the text again.
+    """
     by_order: list[list[NGram]] = [[] for _ in range(model.order)]
     for g in model.logprobs:
         by_order[len(g) - 1].append(g)
     for grams in by_order:
         grams.sort()
+    logprobs, backoffs = model.logprobs, model.backoffs
+    # read_arpa's vocabulary: the unigrams, with <unk> as the OOV score
+    builder = TableBuilder(model.order, [g[0] for g in by_order[0] if g[0] != UNK])
 
+    weights = []  # the backoff fields as read_arpa would parse them, section by section
     stream.write("\\data\\\n")
     for k in range(1, model.order + 1):
         stream.write("ngram %d=%d\n" % (k, len(by_order[k - 1])))
-    for k in range(1, model.order + 1):
+    for k, grams in enumerate(by_order, start=1):
         stream.write("\n\\%d-grams:\n" % k)
-        for g in by_order[k - 1]:
-            line = "%.4f\t%s" % (model.logprobs[g], " ".join(g))
-            if k < model.order:
-                line += "\t%.4f" % model.backoffs.get(g, 0.0)
-            stream.write(line + "\n")
+        lps = list(map("%.4f".__mod__, map(logprobs.__getitem__, grams)))
+        if k < model.order:
+            bos = list(map("%.4f".__mod__, map(backoffs.get, grams, repeat(0.0))))
+            stream.writelines(map("%s\t%s\t%s\n".__mod__, zip(lps, map(" ".join, grams), bos)))
+            weights.append(list(map(float, bos)))
+        else:
+            stream.writelines(map("%s\t%s\n".__mod__, zip(lps, map(" ".join, grams))))
+        builder.add_logprobs(grams, map(float, lps))
     stream.write("\n\\end\\\n")
+    for grams, section in zip(by_order, weights):
+        builder.add_backoffs(grams, section)
+    unk = logprobs.get((UNK,))
+    return builder.tables(LOG_FLOOR if unk is None else float("%.4f" % unk))
 
 
 _NGRAM_HEADER_RE = re.compile(r"^ngram (\d+)=(\d+)$")
@@ -139,9 +158,9 @@ def read_arpa_file(path) -> NGramModel:
         return read_arpa(fh)
 
 
-def write_arpa_file(model: NGramModel, path) -> None:
+def write_arpa_file(model: NGramModel, path) -> ScorerTables:
     with open(path, "w", encoding="utf-8") as fh:
-        write_arpa(model, fh)
+        return write_arpa(model, fh)
 
 
 def _next_content(lines) -> tuple[int, str]:

@@ -144,7 +144,7 @@ def test_fitness_equals_hand_applied_formula_on_hand_built_chromosomes(
         nl_total = -sig_lm5.scorer.sequence_logprob(c.signature, True)
         gap = max(1, abs(cfg.target_length - n))
         expected = 10.0 ** -max(nl_partial / n, nl_total / ((n + 2) * gap))
-        got = fitness(c, sig_lm5, cfg)
+        got = fitness(c, sig_lm5.scorer, cfg)
         assert abs(got - expected) <= 1e-12, (n, got, expected)
         assert math.isfinite(got)
         assert 0.0 < got <= 1.0
@@ -194,7 +194,7 @@ def test_full_scale_evolution_invariants_hold_for_100_generations(sweep_setup):
         carried.append(max(state.population, key=lambda c: c.fitness))
 
     start = time.perf_counter()
-    result = run(cfg, inventory, token_lm, sig_lm, observer=observer)
+    result = run(cfg, inventory, token_lm.scorer, sig_lm.scorer, observer=observer)
     elapsed = time.perf_counter() - start
 
     assert sizes == [1000] * 101
@@ -204,8 +204,8 @@ def test_full_scale_evolution_invariants_hold_for_100_generations(sweep_setup):
 
     rng = random.Random(4242)
     for c in rng.sample(result.population, 1000):
-        assert c.fitness == fitness(c, sig_lm, cfg)
-        assert c.fitness == fitness(make_chromosome(c.templates), sig_lm, cfg)
+        assert c.fitness == fitness(c, sig_lm.scorer, cfg)
+        assert c.fitness == fitness(make_chromosome(c.templates), sig_lm.scorer, cfg)
 
     assert elapsed < 300.0, elapsed
 

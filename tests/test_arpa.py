@@ -4,13 +4,16 @@ import io
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import arpa_seq_logprob, read_arpa_table
+from templex.kernels import build_tables
 from templex.ngram import (
     MalformedArpa,
     NGramModel,
     read_arpa,
     read_arpa_file,
+    train,
     write_arpa,
     write_arpa_file,
 )
@@ -248,3 +251,34 @@ def test_production_model_matches_reference_scoring(data_dir):
     for _, sentence, frozen in rows:
         got = m.scorer.sequence_logprob(sentence.split(), with_boundaries=True)
         assert got == pytest.approx(float(frozen), abs=1e-9)
+
+
+def test_writer_returns_the_tables_of_the_text(token_lm3, sig_lm5, desk_token_seqs):
+    # the tables of exactly the 4-decimal numbers written, numbered as
+    # build_tables numbers the model read back from the text
+    lm1 = train(desk_token_seqs, 1)
+    with_backoffs = NGramModel(1, lm1.vocab, lm1.logprobs, {g: -0.25 for g in lm1.logprobs}, lm1.unk_log10)
+    for model in (token_lm3, sig_lm5, lm1, with_backoffs, read_arpa(io.StringIO(HAND_BIGRAM))):
+        buf = io.StringIO()
+        tables = write_arpa(model, buf)
+        buf.seek(0)
+        assert tables == build_tables(read_arpa(buf)), model.order
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    logprobs=st.dictionaries(
+        st.lists(st.sampled_from(["<s>", "</s>", "<unk>", "a", "b"]), min_size=1, max_size=3).map(tuple),
+        st.floats(-9.0, 0.0),
+        min_size=1,
+    ),
+    weights=st.lists(st.floats(-3.0, 3.0), min_size=1),
+)
+def test_writer_tables_match_the_read_back_model(logprobs, weights):
+    order = max(map(len, logprobs))
+    backoffs = {g: w for g, w in zip(sorted(logprobs), weights) if len(g) < order}
+    model = NGramModel(order, frozenset(g[0] for g in logprobs if len(g) == 1) - {"<unk>"}, logprobs, backoffs)
+    buf = io.StringIO()
+    tables = write_arpa(model, buf)
+    buf.seek(0)
+    assert tables == build_tables(read_arpa(buf))

@@ -23,6 +23,8 @@ from templex.cli import (
     sparkline,
 )
 from templex.ga import GAConfig
+from templex.kernels import build_tables, read_tables, write_tables
+from templex.ngram import read_arpa_file
 
 CHECKOUT = Path(__file__).resolve().parent.parent
 
@@ -283,6 +285,20 @@ def test_train_malformed_corpus_exits_2(tmp_path, data_dir, capsys, text):
     assert "error:" in capsys.readouterr().err
 
 
+def test_train_rejects_a_word_spelled_like_a_gap(tmp_path, data_dir, capsys):
+    # kept, the word __NN__ would be the same string as the gap of every
+    # rare NN word, in the token model and in the inventory
+    corpus = tmp_path / "gaps.conll"
+    corpus.write_text("__NN__ JJ B-NP\n\n__NN__ JJ B-NP\n\ncat NN B-NP\n\n", encoding="utf-8")
+    path = write_config(tmp_path, data_dir, corpus=str(corpus))
+    capsys.readouterr()
+    assert main(["train", "--config", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "line 1: " in err[0], err
+    assert "gap" in err[0], err
+    assert not (tmp_path / "out").exists()
+
+
 def test_train_empty_corpus_exits_2(tmp_path, data_dir):
     empty = tmp_path / "empty.conll"
     empty.write_text("", encoding="utf-8")
@@ -419,12 +435,21 @@ def test_generate_zero_generations_single_row(tmp_path, data_dir):
     assert stats[1].startswith("0,")
 
 
+def recompile(arpa):
+    """Rewrite the tables file beside an ARPA file a test has edited, as
+    train compiles it, so that generate loads the edit."""
+    write_tables(build_tables(read_arpa_file(arpa)), arpa.with_suffix(".tables"))
+
+
 def test_generate_corrupt_model_exits_2(tmp_path, data_dir, capsys):
     path = trained_config(tmp_path, data_dir)
-    (tmp_path / "out" / cli.TOKEN_LM_FILE).write_text("\\data\\\nnot arpa\n", encoding="utf-8")
+    (tmp_path / "out" / cli.TOKEN_TABLES_FILE).write_bytes(b"not a tables file\n" * 8)
     reseal(tmp_path / "out")
+    capsys.readouterr()
     assert main(["generate", "--config", str(path)]) == 2
-    assert "bad model file" in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: bad model file: "), err
+    assert cli.TOKEN_TABLES_FILE in err[0], err
 
 
 @pytest.mark.parametrize("bad", ["1\t\tthe", "2\tN P\tcat", "1\t<unk>\tthe", "2\tNP\tthe </s>"])
@@ -441,16 +466,15 @@ def test_generate_bad_inventory_tag_exits_2(tmp_path, data_dir, capsys, bad):
 
 def test_generate_out_of_range_logprob_exits_2(tmp_path, data_dir, capsys):
     path = trained_config(tmp_path, data_dir)
-    arpa = tmp_path / "out" / cli.TOKEN_LM_FILE
-    lines = arpa.read_text(encoding="utf-8").splitlines()
-    at = lines.index("\\1-grams:") + 1
-    lines[at] = "500.0\t" + lines[at].split("\t", 1)[1]
-    arpa.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    target = tmp_path / "out" / cli.TOKEN_TABLES_FILE
+    tables = read_tables(target)
+    tables.probs[next(iter(tables.probs))] = 500.0
+    write_tables(tables, target)
     reseal(tmp_path / "out")
     capsys.readouterr()
     assert main(["generate", "--config", str(path)]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert err == ["error: bad model file: line %d: log probability '500.0' is not <= 0" % (at + 1)]
+    assert err == ["error: bad model file: %s: a log probability is NaN or above 0" % target]
 
 
 def set_unigram_backoffs(arpa, value):
@@ -468,6 +492,7 @@ def test_generate_accepts_junctions_above_probability_one(tmp_path, data_dir, ca
     # certain acceptance, not an overflow of 10 ** score.
     path = trained_config(tmp_path, data_dir)
     set_unigram_backoffs(tmp_path / "out" / cli.TOKEN_LM_FILE, "500.0")
+    recompile(tmp_path / "out" / cli.TOKEN_LM_FILE)
     reseal(tmp_path / "out")
     assert main(["generate", "--config", str(path)]) == 0
     assert "best fitness" in capsys.readouterr().out
@@ -476,12 +501,13 @@ def test_generate_accepts_junctions_above_probability_one(tmp_path, data_dir, ca
 def test_generate_fitness_overflow_exits_2(tmp_path, data_dir, capsys):
     path = trained_config(tmp_path, data_dir)
     set_unigram_backoffs(tmp_path / "out" / cli.SIGNATURE_LM_FILE, "500.0")
+    recompile(tmp_path / "out" / cli.SIGNATURE_LM_FILE)
     reseal(tmp_path / "out")
     capsys.readouterr()
     assert main(["generate", "--config", str(path)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
-    assert cli.SIGNATURE_LM_FILE in err[0] and "beyond the float range" in err[0], err
+    assert cli.SIGNATURE_TABLES_FILE in err[0] and "beyond the float range" in err[0], err
     assert not (tmp_path / "out" / cli.STATS_FILE).exists()
 
 
@@ -513,6 +539,26 @@ def test_generate_without_recorded_digests_exits_2(tmp_path, data_dir, capsys):
     assert main(["generate", "--config", str(path)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "records no sha256" in err[0] and "retrain" in err[0], err
+
+
+def test_train_compiles_the_tables_of_its_arpa_files(tmp_path, data_dir):
+    trained_config(tmp_path, data_dir)
+    out = tmp_path / "out"
+    for arpa, tables in (
+        (cli.TOKEN_LM_FILE, cli.TOKEN_TABLES_FILE),
+        (cli.SIGNATURE_LM_FILE, cli.SIGNATURE_TABLES_FILE),
+    ):
+        assert read_tables(out / tables) == build_tables(read_arpa_file(out / arpa)), tables
+
+
+def test_generate_parses_no_arpa_file(tmp_path, data_dir, monkeypatch):
+    path = trained_config(tmp_path, data_dir)
+
+    def refuse(stream):
+        raise AssertionError("generate parsed an ARPA file")
+
+    monkeypatch.setattr("templex.ngram.arpa.read_arpa", refuse)
+    assert main(["generate", "--config", str(path)]) == 0
 
 
 def test_train_records_each_artifacts_sha256(tmp_path, data_dir):

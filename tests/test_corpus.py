@@ -55,19 +55,25 @@ def test_bad_chunk_tag_rejected():
 
 
 @pytest.mark.parametrize(
-    "line", ["<unk> NN B-NP", "<s> DT O", "</s> NN I-NP", "x NN B-<unk>", "x NN B-<s>", "x NN B-</s>"]
+    "line",
+    ["<unk> NN B-NP", "<s> DT O", "</s> NN I-NP", "x NN B-<unk>", "x NN B-<s>", "x NN B-</s>"]
+    + ["__NN__ NN I-NP", "__x__ JJ O", "_____ NN I-NP", "__a_b__ NN I-NP"],
 )
 def test_reserved_model_symbols_rejected(line):
     # a word or chunk label equal to a model symbol would share its n-gram
-    # entry (KN training overwrites a word's unigram with the OOV mass)
+    # entry (KN training overwrites a word's unigram with the OOV mass), and
+    # a word of a gap's form would be the gap of every factored word of a POS
     with pytest.raises(MalformedLine) as exc:
         parse_conll(io.StringIO("the DT B-NP\n" + line + "\n"))
     assert exc.value.lineno == 2
 
 
 def test_reserved_symbols_allowed_as_pos():
-    (sent,) = parse_conll(io.StringIO("x <unk> B-NP\n"))
-    assert sent.tokens[0].pos == "<unk>"
+    # a POS of any form is legal, and so is a word merely near a gap's form
+    text = "x <unk> B-NP\n__ __NN__ I-NP\n____ NN I-NP\n_x__ NN I-NP\n__x_ NN I-NP\n"
+    (sent,) = parse_conll(io.StringIO(text))
+    assert [t.pos for t in sent.tokens[:2]] == ["<unk>", "__NN__"]
+    assert [t.surface for t in sent.tokens] == ["x", "__", "____", "_x__", "__x_"]
 
 
 def test_illegal_bio_orphan_inside_tag():

@@ -189,7 +189,7 @@ def test_crossover_carries_the_childs_ends(token_models, a, b, which):
     lm = token_models[which]
     left = make_chromosome([lex_template(w, "NP") for w in a])
     right = make_chromosome([lex_template(w, "VP") for w in b])
-    junction_probability(lm, left, right)  # fills both parents' ends
+    junction_probability(lm.scorer, left, right)  # fills both parents' ends
     child = crossover(left, right)
     if len(right.surface) < lm.order - 1:
         assert child.ends is None
@@ -203,17 +203,17 @@ def test_crossover_composes_the_parents_summaries(sig_lm5, a, b):
     cfg = default_cfg()
     left = make_chromosome([lex_template(w, t) for w, t in zip(a, ("NP", "QX", "VP", "O"))])
     right = make_chromosome([lex_template(w, t) for w, t in zip(b, ("PP", "NP", "O", "VP"))])
-    fitness(left, sig_lm5, cfg)
-    fitness(right, sig_lm5, cfg)
+    fitness(left, sig_lm5.scorer, cfg)
+    fitness(right, sig_lm5.scorer, cfg)
     child = crossover(left, right)
     assert child.summary == summarize(sig_lm5.scorer, child.signature)
-    assert fitness(child, sig_lm5, cfg) == fitness(make_chromosome(child.templates), sig_lm5, cfg)
+    assert fitness(child, sig_lm5.scorer, cfg) == fitness(make_chromosome(child.templates), sig_lm5.scorer, cfg)
 
 
 def test_crossover_without_carried_state_composes_nothing(sig_lm5):
     left = make_chromosome([lex_template(["a"], "NP")])
     right = make_chromosome([lex_template(["b", "c"], "VP")])
-    fitness(left, sig_lm5, default_cfg())  # only one parent has a summary
+    fitness(left, sig_lm5.scorer, default_cfg())  # only one parent has a summary
     child = crossover(left, right)
     assert child.summary is None and child.ends is None
 
@@ -226,7 +226,7 @@ def test_junction_uses_last_context_window(token_lm3, desk_factored_inventory):
     left = make_chromosome(ts[:3])
     right = single(ts[4])
     expected = 10 ** token_lm3.scorer.logprob(left.surface[-2:], right.surface[0])
-    assert junction_probability(token_lm3, left, right) == pytest.approx(
+    assert junction_probability(token_lm3.scorer, left, right) == pytest.approx(
         expected, rel=1e-12
     )
 
@@ -235,7 +235,7 @@ def test_junction_with_short_left_side(token_lm3):
     left = make_chromosome([lex_template(["solo"], "NP")])
     right = make_chromosome([lex_template(["next"], "VP")])
     expected = 10 ** token_lm3.scorer.logprob(("solo",), "next")
-    assert junction_probability(token_lm3, left, right) == pytest.approx(
+    assert junction_probability(token_lm3.scorer, left, right) == pytest.approx(
         expected, rel=1e-12
     )
 
@@ -244,7 +244,7 @@ def test_junction_under_unigram_model(desk_token_seqs):
     lm1 = train(desk_token_seqs, 1)
     left = make_chromosome([lex_template(["whatever", "context"], "NP")])
     right = make_chromosome([lex_template(["x"], "VP")])
-    assert junction_probability(lm1, left, right) == pytest.approx(
+    assert junction_probability(lm1.scorer, left, right) == pytest.approx(
         10 ** lm1.scorer.logprob((), "x"), rel=1e-12
     )
 
@@ -258,7 +258,7 @@ def test_top_order_backoffs_leave_the_state_empty():
     assert scorer.sequence_logprob(["a", "b"]) == -0.5 + -0.7
     left = make_chromosome([lex_template(["a"], "NP")])
     right = make_chromosome([lex_template(["b"], "VP")])
-    assert junction_probability(lm, left, right) == 10.0 ** scorer.logprob(["a"], "b")
+    assert junction_probability(lm.scorer, left, right) == 10.0 ** scorer.logprob(["a"], "b")
 
 
 def random_chromosomes(inventory, rng, n):
@@ -293,7 +293,7 @@ def test_junction_equals_string_query_exactly(
     for lm in (token_lm3, lm1, token_lm3, lm1):
         for left in chroms:
             for right in chroms:
-                assert junction_probability(lm, left, right) == string_junction(
+                assert junction_probability(lm.scorer, left, right) == string_junction(
                     lm, left, right
                 ), (lm.order, left.surface, right.surface)
         assert all(c.ends[0] is lm.scorer for c in chroms)
@@ -361,7 +361,7 @@ def test_fitness_formula_hand_applied(sig_lm5, desk_factored_inventory):
         nl_total = -sig_lm5.scorer.sequence_logprob(c.signature, True)
         gap = max(1, abs(cfg.target_length - k))
         expected = 10.0 ** -max(nl_partial / k, nl_total / ((k + 2) * gap))
-        assert fitness(c, sig_lm5, cfg) == pytest.approx(expected, abs=1e-15)
+        assert fitness(c, sig_lm5.scorer, cfg) == pytest.approx(expected, abs=1e-15)
 
 
 def test_fitness_matches_independent_scorer(sig_lm5, sig_oracle, desk_factored_inventory):
@@ -377,7 +377,7 @@ def test_fitness_matches_independent_scorer(sig_lm5, sig_oracle, desk_factored_i
         expected = 10.0 ** -max(
             nl_partial / len(sig), nl_total / ((len(sig) + 2) * gap)
         )
-        assert fitness(c, sig_lm5, cfg) == pytest.approx(expected, abs=1e-9)
+        assert fitness(c, sig_lm5.scorer, cfg) == pytest.approx(expected, abs=1e-9)
 
 
 def test_fitness_bounded_in_unit_interval(sig_lm5, desk_factored_inventory):
@@ -386,7 +386,7 @@ def test_fitness_bounded_in_unit_interval(sig_lm5, desk_factored_inventory):
     ts = desk_factored_inventory.templates
     for _ in range(120):
         c = make_chromosome([ts[rng.randrange(len(ts))] for _ in range(rng.randrange(1, 12))])
-        f = fitness(c, sig_lm5, cfg)
+        f = fitness(c, sig_lm5.scorer, cfg)
         assert 0.0 < f <= 1.0
 
 
@@ -394,7 +394,7 @@ def test_fitness_finite_at_target_length(sig_lm5, desk_factored_inventory):
     # the length gap clamps to one instead of zeroing the denominator
     cfg = default_cfg(target_length=3)
     c = make_chromosome(desk_factored_inventory.templates[:3])
-    f = fitness(c, sig_lm5, cfg)
+    f = fitness(c, sig_lm5.scorer, cfg)
     assert 0.0 < f <= 1.0
 
 
@@ -403,7 +403,7 @@ def test_fitness_finite_at_target_length(sig_lm5, desk_factored_inventory):
 
 def test_init_population_is_single_templates(desk_factored_inventory, token_lm3, sig_lm5):
     cfg = default_cfg(population_size=50)
-    state = init_population(desk_factored_inventory, cfg, sig_lm5, random.Random(5))
+    state = init_population(desk_factored_inventory, cfg, sig_lm5.scorer, random.Random(5))
     assert state.generation == 0
     assert len(state.population) == 50
     assert len(state.stats) == 1
@@ -415,7 +415,7 @@ def test_init_population_is_single_templates(desk_factored_inventory, token_lm3,
 
 def test_init_population_replays_randrange(desk_factored_inventory, sig_lm5):
     cfg = default_cfg(population_size=40)
-    state = init_population(desk_factored_inventory, cfg, sig_lm5, random.Random(9))
+    state = init_population(desk_factored_inventory, cfg, sig_lm5.scorer, random.Random(9))
     shadow = random.Random(9)
     want = [
         desk_factored_inventory.templates[
@@ -428,7 +428,7 @@ def test_init_population_replays_randrange(desk_factored_inventory, sig_lm5):
 
 def test_init_population_draws_uniformly(desk_factored_inventory, sig_lm5):
     cfg = default_cfg(population_size=8000, tournament_size=5)
-    state = init_population(desk_factored_inventory, cfg, sig_lm5, random.Random(6))
+    state = init_population(desk_factored_inventory, cfg, sig_lm5.scorer, random.Random(6))
     index = desk_factored_inventory.index()
     observed = [0] * len(desk_factored_inventory.templates)
     for c in state.population:
@@ -440,7 +440,7 @@ def test_init_population_draws_uniformly(desk_factored_inventory, sig_lm5):
 def test_empty_inventory_rejected(sig_lm5):
     empty = extract_templates([])
     with pytest.raises(EmptyInventory):
-        init_population(empty, default_cfg(), sig_lm5, random.Random(0))
+        init_population(empty, default_cfg(), sig_lm5.scorer, random.Random(0))
 
 
 # ------------------------------------------------------------------ tournament
@@ -451,11 +451,11 @@ def test_tournament_round_replays_documented_rng_contract(
 ):
     cfg = default_cfg(population_size=40, tournament_size=6, nbest=8, mutation_p=0.1)
     rng = random.Random(31)
-    state = init_population(desk_factored_inventory, cfg, sig_lm5, rng)
+    state = init_population(desk_factored_inventory, cfg, sig_lm5.scorer, rng)
     replay = random.Random()
     replay.setstate(rng.getstate())
 
-    got = tournament_round(state, cfg, token_lm3, sig_lm5, desk_factored_inventory, rng)
+    got = tournament_round(state, cfg, token_lm3.scorer, sig_lm5.scorer, desk_factored_inventory, rng)
 
     idxs = replay.sample(range(len(state.population)), cfg.tournament_size)
     sample = [state.population[i] for i in idxs]
@@ -464,7 +464,7 @@ def test_tournament_round_replays_documented_rng_contract(
         for j, q in enumerate(sample):
             if i == j:
                 continue
-            if replay.random() < junction_probability(token_lm3, p, q):
+            if replay.random() < junction_probability(token_lm3.scorer, p, q):
                 child = crossover(p, q)
                 if replay.random() < cfg.mutation_p:
                     child = single(
@@ -472,7 +472,7 @@ def test_tournament_round_replays_documented_rng_contract(
                             replay.randrange(len(desk_factored_inventory.templates))
                         ]
                     )
-                child.fitness = fitness(child, sig_lm5, cfg)
+                child.fitness = fitness(child, sig_lm5.scorer, cfg)
                 children.append(child)
     children.sort(key=lambda c: -c.fitness)
     want = children[: cfg.nbest]
@@ -485,9 +485,9 @@ def test_tournament_round_replays_documented_rng_contract(
 def test_tournament_output_sorted_and_capped(desk_factored_inventory, token_lm3, sig_lm5):
     cfg = default_cfg(population_size=40, tournament_size=8, nbest=6)
     rng = random.Random(32)
-    state = init_population(desk_factored_inventory, cfg, sig_lm5, rng)
+    state = init_population(desk_factored_inventory, cfg, sig_lm5.scorer, rng)
     for _ in range(25):
-        out = tournament_round(state, cfg, token_lm3, sig_lm5, desk_factored_inventory, rng)
+        out = tournament_round(state, cfg, token_lm3.scorer, sig_lm5.scorer, desk_factored_inventory, rng)
         assert len(out) <= cfg.nbest
         assert all(a.fitness >= b.fitness for a, b in zip(out, out[1:]))
 
@@ -503,9 +503,9 @@ def test_rejecting_junctions_produce_no_offspring(desk_factored_inventory, sig_l
     words = {s for t in desk_factored_inventory.templates for s in t.items}
     cfg = default_cfg(population_size=12, tournament_size=4, nbest=4)
     rng = random.Random(33)
-    state = init_population(desk_factored_inventory, cfg, sig_lm5, rng)
+    state = init_population(desk_factored_inventory, cfg, sig_lm5.scorer, rng)
     out = tournament_round(
-        state, cfg, rejecting_model(words), sig_lm5, desk_factored_inventory, rng
+        state, cfg, rejecting_model(words).scorer, sig_lm5.scorer, desk_factored_inventory, rng
     )
     assert out == []
 
@@ -519,10 +519,10 @@ def test_generation_preserves_population_size(
     for pop in (9, 10, 31):
         cfg = default_cfg(population_size=pop, tournament_size=4, nbest=4)
         rng = random.Random(41)
-        state = init_population(desk_factored_inventory, cfg, sig_lm5, rng)
+        state = init_population(desk_factored_inventory, cfg, sig_lm5.scorer, rng)
         for _ in range(3):
             state = evolve_generation(
-                state, cfg, token_lm3, sig_lm5, desk_factored_inventory, rng
+                state, cfg, token_lm3.scorer, sig_lm5.scorer, desk_factored_inventory, rng
             )
             assert len(state.population) == pop
 
@@ -530,11 +530,11 @@ def test_generation_preserves_population_size(
 def test_generation_keeps_fittest_parent(desk_factored_inventory, token_lm3, sig_lm5):
     cfg = default_cfg(population_size=20, tournament_size=4, nbest=4)
     rng = random.Random(42)
-    state = init_population(desk_factored_inventory, cfg, sig_lm5, rng)
+    state = init_population(desk_factored_inventory, cfg, sig_lm5.scorer, rng)
     for _ in range(5):
         best_parent = max(state.population, key=lambda c: c.fitness)
         state = evolve_generation(
-            state, cfg, token_lm3, sig_lm5, desk_factored_inventory, rng
+            state, cfg, token_lm3.scorer, sig_lm5.scorer, desk_factored_inventory, rng
         )
         assert best_parent in state.population
         assert max(c.fitness for c in state.population) >= best_parent.fitness
@@ -545,9 +545,9 @@ def test_generation_structure_is_parents_plus_offspring(
 ):
     cfg = default_cfg(population_size=16, tournament_size=4, nbest=4)
     rng = random.Random(43)
-    state = init_population(desk_factored_inventory, cfg, sig_lm5, rng)
+    state = init_population(desk_factored_inventory, cfg, sig_lm5.scorer, rng)
     parents = sorted(state.population, key=lambda c: -c.fitness)
-    nxt = evolve_generation(state, cfg, token_lm3, sig_lm5, desk_factored_inventory, rng)
+    nxt = evolve_generation(state, cfg, token_lm3.scorer, sig_lm5.scorer, desk_factored_inventory, rng)
     # the fittest half of the parents comes first, in fitness order
     assert nxt.population[:8] == parents[:8]
 
@@ -556,10 +556,10 @@ def test_rejecting_model_falls_back_to_parents(desk_factored_inventory, sig_lm5)
     words = {s for t in desk_factored_inventory.templates for s in t.items}
     cfg = default_cfg(population_size=6, tournament_size=3, nbest=3)
     rng = random.Random(44)
-    state = init_population(desk_factored_inventory, cfg, sig_lm5, rng)
+    state = init_population(desk_factored_inventory, cfg, sig_lm5.scorer, rng)
     parents = sorted(state.population, key=lambda c: -c.fitness)
     nxt = evolve_generation(
-        state, cfg, rejecting_model(words), sig_lm5, desk_factored_inventory, rng
+        state, cfg, rejecting_model(words).scorer, sig_lm5.scorer, desk_factored_inventory, rng
     )
     assert nxt.generation == 1
     assert nxt.population == parents  # cap hit, population carried over whole
@@ -574,7 +574,7 @@ def test_pair_cap_scales_with_population():
 
 def test_run_zero_generations(desk_factored_inventory, token_lm3, sig_lm5):
     cfg = default_cfg(generations=0, population_size=25)
-    res = run(cfg, desk_factored_inventory, token_lm3, sig_lm5)
+    res = run(cfg, desk_factored_inventory, token_lm3.scorer, sig_lm5.scorer)
     assert len(res.stats) == 1
     assert res.stats[0].generation == 0
     assert len(res.population) == 25
@@ -584,28 +584,28 @@ def test_run_zero_generations(desk_factored_inventory, token_lm3, sig_lm5):
 def test_run_observer_sees_every_generation(desk_factored_inventory, token_lm3, sig_lm5):
     seen = []
     cfg = default_cfg(generations=4, population_size=20, tournament_size=4, nbest=4)
-    run(cfg, desk_factored_inventory, token_lm3, sig_lm5, observer=lambda s: seen.append(s.generation))
+    run(cfg, desk_factored_inventory, token_lm3.scorer, sig_lm5.scorer, observer=lambda s: seen.append(s.generation))
     assert seen == [0, 1, 2, 3, 4]
 
 
 def test_run_is_deterministic_per_seed(desk_factored_inventory, token_lm3, sig_lm5):
     cfg = default_cfg(generations=3, population_size=20, tournament_size=4, nbest=4, rng_seed=7)
-    a = run(cfg, desk_factored_inventory, token_lm3, sig_lm5)
-    b = run(cfg, desk_factored_inventory, token_lm3, sig_lm5)
+    a = run(cfg, desk_factored_inventory, token_lm3.scorer, sig_lm5.scorer)
+    b = run(cfg, desk_factored_inventory, token_lm3.scorer, sig_lm5.scorer)
     assert list(population_lines(a.population)) == list(population_lines(b.population))
     assert list(stats_csv_lines(a.stats)) == list(stats_csv_lines(b.stats))
     other = run(
         dataclasses.replace(cfg, rng_seed=8),
         desk_factored_inventory,
-        token_lm3,
-        sig_lm5,
+        token_lm3.scorer,
+        sig_lm5.scorer,
     )
     assert list(population_lines(other.population)) != list(population_lines(a.population))
 
 
 def test_run_stats_cover_all_generations(desk_factored_inventory, token_lm3, sig_lm5):
     cfg = default_cfg(generations=6, population_size=20, tournament_size=4, nbest=4)
-    res = run(cfg, desk_factored_inventory, token_lm3, sig_lm5)
+    res = run(cfg, desk_factored_inventory, token_lm3.scorer, sig_lm5.scorer)
     assert [s.generation for s in res.stats] == list(range(7))
     assert all(0.0 < s.mean_fitness <= 1.0 for s in res.stats)
     assert all(s.max_fitness >= s.mean_fitness for s in res.stats)
@@ -625,7 +625,7 @@ def test_evolved_survivors_resemble_training_signatures(
         generations=20,
         rng_seed=1,
     )
-    res = run(cfg, desk_factored_inventory, token_lm3, sig_lm5)
+    res = run(cfg, desk_factored_inventory, token_lm3.scorer, sig_lm5.scorer)
     train_sigs = desk_factored_inventory.signature_sequences()
 
     def contiguous(needle, hay):

@@ -1,8 +1,11 @@
 """Backend parity, packed-table structure, and backend selection."""
 
+import gc
 import io
+import math
 import os
 import random
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -17,7 +20,14 @@ from templex.kernels import (
     available_backends,
     make_scorer,
 )
-from templex.kernels.tables import build_tables
+from templex.kernels.tables import (
+    MAGIC,
+    MalformedTables,
+    ScorerTables,
+    build_tables,
+    read_tables,
+    write_tables,
+)
 from templex.ngram import BOS, NGramModel, read_arpa, read_arpa_file, train, write_arpa
 
 from oracles import reference_tables
@@ -357,3 +367,137 @@ def test_model_scorer_respects_explicit_backend_without_cache_clobber(token_lm3)
     explicit = make_scorer(token_lm3, "python")
     assert isinstance(explicit, ModelScorer) and explicit.backend == "python"
     assert token_lm3.scorer is cached  # explicit request did not replace the cache
+
+
+def test_build_tables_leaves_no_cyclic_garbage(token_lm3, sig_lm5):
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for model in (token_lm3, sig_lm5):
+            build_tables(model)
+            assert gc.collect() == 0
+    finally:
+        if was:
+            gc.enable()
+
+
+# ------------------------------------------------------------ tables files
+
+
+@st.composite
+def scorer_tables(draw):
+    """Tables that pass read_tables' checks, with every extreme value the
+    format must carry bit for bit (-0.0, -inf, 64-bit keys, non-ASCII words)."""
+    order = draw(st.integers(1, 5))
+    words = draw(
+        st.lists(
+            st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\n"), max_size=4),
+            unique=True,
+            max_size=8,
+        )
+    )
+    base = len(words) + 1
+    n = draw(st.integers(1, 10))
+    key = st.integers(-(2**63), 2**63 - 1)
+    logprob = st.floats(max_value=0.0)
+    return ScorerTables(
+        order=order,
+        base=base,
+        token_ids=dict(zip(words, range(len(words)))),
+        ctx_len=[0] + draw(st.lists(st.integers(0, 2**40), min_size=n - 1, max_size=n - 1)),
+        parent=[0] + [draw(st.integers(0, c - 1)) for c in range(1, n)],
+        backoff=draw(st.lists(st.floats(allow_nan=False, max_value=1e300), min_size=n, max_size=n)),
+        probs=draw(st.dictionaries(key, logprob, max_size=20)),
+        trans=draw(st.dictionaries(key, st.integers(1, n - 1), max_size=20)) if n > 1 else {},
+        unk_log10=draw(logprob),
+        bos_state=draw(st.integers(0, n - 1)),
+        eos_id=draw(st.integers(0, base - 1)),
+    )
+
+
+def float_bits(values):
+    return [struct.pack("<d", v) for v in values]
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables=scorer_tables())
+def test_tables_file_round_trip(tmp_path_factory, tables):
+    path = tmp_path_factory.mktemp("tables") / "m.tables"
+    write_tables(tables, path)
+    got = read_tables(path)
+    assert got == tables
+    assert list(got.token_ids) == list(tables.token_ids)
+    assert float_bits(got.backoff) == float_bits(tables.backoff)
+    assert float_bits(got.probs.values()) == float_bits(tables.probs.values())
+    assert float_bits([got.unk_log10]) == float_bits([tables.unk_log10])
+
+
+def test_scorer_on_loaded_tables_matches_the_model(tmp_path, token_lm3, sig_lm5):
+    rng = random.Random(4099)
+    for model in (token_lm3, sig_lm5):
+        path = tmp_path / "m.tables"
+        write_tables(build_tables(model), path)
+        loaded = make_scorer(read_tables(path), "python")
+        words = sorted(model.vocab) + ["oov-x"]
+        for _ in range(300):
+            toks = [rng.choice(words) for _ in range(rng.randrange(1, 8))]
+            assert loaded.logprob(toks[:-1], toks[-1]) == model.scorer.logprob(toks[:-1], toks[-1])
+            assert loaded.sequence_logprob(toks, True) == model.scorer.sequence_logprob(toks, True)
+
+
+def rewritten(tables, **changes):
+    return ScorerTables(**dict(vars(tables), **changes))
+
+
+@pytest.mark.parametrize(
+    "damage, reason",
+    [
+        (lambda b, t: b[:-8], "the header declares other lengths"),
+        (lambda b, t: b + b"\0", "the header declares other lengths"),
+        (lambda b, t: b[:20], "shorter than the header"),
+        (lambda b, t: b"x" + b[1:], "not a templex tables file"),
+        (lambda b, t: b[: len(MAGIC)] + struct.pack("<I", 99) + b[len(MAGIC) + 4 :], "format version 99"),
+    ],
+    ids=["truncated", "extended", "header-cut", "magic", "version"],
+)
+def test_read_tables_rejects_damaged_bytes(tmp_path, sig_lm5, damage, reason):
+    path = tmp_path / "m.tables"
+    tables = build_tables(sig_lm5)
+    write_tables(tables, path)
+    path.write_bytes(damage(path.read_bytes(), tables))
+    with pytest.raises(MalformedTables, match=reason) as exc:
+        read_tables(path)
+    assert str(exc.value).startswith(str(path))
+
+
+@pytest.mark.parametrize(
+    "change, reason",
+    [
+        (lambda t: {"probs": t.probs | {0: 0.5}}, "log probability is NaN or above 0"),
+        (lambda t: {"probs": t.probs | {0: math.nan}}, "log probability is NaN or above 0"),
+        (lambda t: {"unk_log10": 1.0}, "log probability is NaN or above 0"),
+        (lambda t: {"backoff": t.backoff[:-1] + [math.inf]}, "backoff weight is NaN or \\+inf"),
+        (lambda t: {"backoff": t.backoff[:-1] + [math.nan]}, "backoff weight is NaN or \\+inf"),
+        (lambda t: {"parent": t.parent[:-1] + [len(t.parent) - 1]}, "context link"),
+        (lambda t: {"parent": t.parent[:-1] + [-1]}, "context link"),
+        (lambda t: {"trans": t.trans | {0: len(t.ctx_len)}}, "context link"),
+        (lambda t: {"bos_state": len(t.ctx_len)}, "context link"),
+        (lambda t: {"eos_id": t.base}, "context link"),
+        (lambda t: {"base": t.base + 1}, "vocabulary does not match"),
+        (lambda t: {"order": 0}, "vocabulary does not match"),
+    ],
+)
+def test_read_tables_rejects_values_read_arpa_would_reject(tmp_path, sig_lm5, change, reason):
+    path = tmp_path / "m.tables"
+    tables = build_tables(sig_lm5)
+    write_tables(rewritten(tables, **change(tables)), path)
+    with pytest.raises(MalformedTables, match=reason):
+        read_tables(path)
+
+
+def test_write_tables_refuses_a_word_with_a_newline(tmp_path, sig_lm5):
+    tables = build_tables(sig_lm5)
+    bad = rewritten(tables, token_ids=dict(tables.token_ids, **{"a\nb": tables.base - 1}))
+    with pytest.raises(ValueError, match="newline"):
+        write_tables(bad, tmp_path / "m.tables")
