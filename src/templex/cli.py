@@ -305,7 +305,6 @@ def cmd_train(cfg: RunConfig) -> int:
                 tables = write_arpa_file(model, tmp)
             with _replacing(outdir / tables_name) as tmp:
                 write_tables(tables, tmp)
-            del tables
         digests = artifact_digests(outdir)
     except OSError as exc:
         raise DataError("cannot write models: %s" % exc) from None
