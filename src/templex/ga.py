@@ -7,15 +7,17 @@ signature under the signature model, normalized for length and for distance
 from the target length.  Each generation keeps the fittest half of the
 parents and fills the other half with tournament offspring.
 
-The junction gate runs on model state carried by each chromosome: ``ends``
-caches the token scorer it was computed for, the id of the first surface
-token and the scorer's state after the last order - 1 surface tokens.  It
-is filled on a chromosome's first gate use and refilled when a different
-scorer asks, so a tried pair costs one ``kernel.score`` and no string
-encoding, slicing or context walk.  ``crossover`` composes a child's ends:
-the head is the left parent's and, when the right parent has at least
-order - 1 surface tokens, the tail is the right parent's; otherwise the
-child starts without ends.
+Every chromosome carries the model state the search reads, set when it is
+made and never recomputed: ``head``, the token model's id of its first
+token; ``tail``, the token scorer's state after all of its tokens; and
+``summary``, the walk of its chunk tags under the signature scorer.
+``make_chromosome`` walks its templates once; ``crossover`` composes the
+parents' state.  A kernel state depends only on the last order - 1 tokens,
+so the child's head is the left parent's and its tail is the right
+parent's when the right parent has at least order - 1 templates (each has
+at least one token), and otherwise the left parent's tail walked on through
+the right parent's tokens.  A tried pair thus costs one ``kernel.score``
+of (left tail, right head) and no string encoding, slicing or context walk.
 
 Fitness runs on a ``Summary`` of the signature's walk under the signature
 scorer, carried as ``summary``: the ids of the first ``span`` = order - 1
@@ -27,10 +29,10 @@ meet.  A kernel state is the longest stored context that ends the history,
 at most ``span`` items long, so the states meet after ``span`` items at the
 latest and every later logprob and state depends only on the items read.
 ``summarize`` extends the empty summary (states 0 and the start-padded
-state); ``compose(a, b)`` extends ``a`` by ``b.head_ids``, then adds b's
-remaining logprobs to both totals and takes b's end state.  A child thus
-costs at most 2 * span kernel steps and one float addition per item, and
-keeps no ids beyond its first ``span``.  It is bit-identical to a fresh
+state); ``compose(scorer, a, b)`` extends ``a`` by ``b.head_ids``, then adds
+b's remaining logprobs to both totals and takes b's end state.  A child
+thus costs at most 2 * span kernel steps and one float addition per item,
+and keeps no ids beyond its first ``span``.  It is bit-identical to a fresh
 walk: both totals are left folds from 0.0, so a's totals are exact prefixes
 of the child's, and b's remaining logprobs are added one at a time, in
 order; a pre-summed suffix, or ``sum()`` (compensated since Python 3.12),
@@ -68,9 +70,9 @@ class FitnessOverflow(ArithmeticError):
 
 
 class Summary(NamedTuple):
-    """One signature's walk under ``scorer``: enough to compose a child's."""
+    """One signature's walk under the signature scorer: enough to compose a
+    child's."""
 
-    scorer: ModelScorer
     head_ids: tuple[int, ...]  # ids of the first span items
     lps: tuple[float, ...]  # open per-item log10 probabilities
     open_total: float
@@ -84,10 +86,10 @@ def _span(scorer: ModelScorer) -> int:
     return scorer.tables.order - 1
 
 
-def _extend(s: Summary, ids) -> Summary:
+def _extend(scorer: ModelScorer, s: Summary, ids) -> Summary:
     """The summary of s's items followed by the items ``ids``: the open and
     closed walks step side by side, and as one walk once their states meet."""
-    step = s.scorer.kernel.score_step
+    step = scorer.kernel.score_step
     open_total, closed_total = s.open_total, s.closed_total
     open_state, closed_state = s.open_state, s.closed_state
     lps = []
@@ -101,27 +103,26 @@ def _extend(s: Summary, ids) -> Summary:
         open_total += lp
         closed_total += closed_lp
         lps.append(lp)
-    span = _span(s.scorer)
+    span = _span(scorer)
     head_ids = (s.head_ids + tuple(ids[:span]))[:span]
     return Summary(
-        s.scorer, head_ids, s.lps + tuple(lps), open_total, closed_total, open_state, closed_state
+        head_ids, s.lps + tuple(lps), open_total, closed_total, open_state, closed_state
     )
 
 
 def summarize(scorer: ModelScorer, items: Sequence[str]) -> Summary:
     """The walk of ``items`` from the empty and from the start-padded state."""
-    empty = Summary(scorer, (), (), 0.0, 0.0, 0, scorer.tables.bos_state)
-    return _extend(empty, scorer.encode(items))
+    empty = Summary((), (), 0.0, 0.0, 0, scorer.tables.bos_state)
+    return _extend(scorer, empty, scorer.encode(items))
 
 
-def compose(a: Summary, b: Summary) -> Summary:
-    """The summary of a's items followed by b's, both under a.scorer."""
-    s = _extend(a, b.head_ids)
-    rest = b.lps[_span(a.scorer) :]
+def compose(scorer: ModelScorer, a: Summary, b: Summary) -> Summary:
+    """The summary of a's items followed by b's, both under ``scorer``."""
+    s = _extend(scorer, a, b.head_ids)
+    rest = b.lps[_span(scorer) :]
     if not rest:
         return s
     return Summary(
-        a.scorer,
         s.head_ids,
         s.lps + rest,
         reduce(add, rest, s.open_total),
@@ -134,26 +135,30 @@ def compose(a: Summary, b: Summary) -> Summary:
 @dataclass
 class Chromosome:
     templates: tuple[Template, ...]
-    surface: tuple[str, ...]  # concatenated template items
-    signature: tuple[str, ...]  # one chunk tag per template
+    head: int = field(compare=False, repr=False)  # token id of the first item
+    tail: int = field(compare=False, repr=False)  # token state after every item
+    summary: Summary = field(compare=False, repr=False)  # the tags' walk
     fitness: float | None = field(default=None, compare=False)
-    # (token scorer, head id, tail state), filled by the junction gate
-    ends: tuple | None = field(default=None, compare=False, repr=False)
-    # the signature's walk under the signature scorer, filled by fitness
-    summary: Summary | None = field(default=None, compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.templates)
 
 
-def make_chromosome(templates: Sequence[Template]) -> Chromosome:
-    surface = tuple(s for t in templates for s in t.items)
-    signature = tuple(t.tag for t in templates)
-    return Chromosome(tuple(templates), surface, signature)
+def _items(templates: Sequence[Template]) -> list[str]:
+    return [s for t in templates for s in t.items]
 
 
-def single(template: Template) -> Chromosome:
-    return Chromosome((template,), template.items, (template.tag,))
+def make_chromosome(
+    templates: Sequence[Template], scorer: ModelScorer, sig_scorer: ModelScorer
+) -> Chromosome:
+    """A chromosome and its model state, from fresh walks of its templates."""
+    ids = scorer.encode(_items(templates))
+    return Chromosome(
+        tuple(templates),
+        ids[0],
+        scorer.kernel.walk(0, ids),
+        summarize(sig_scorer, [t.tag for t in templates]),
+    )
 
 
 @dataclass(frozen=True)
@@ -213,49 +218,43 @@ class GAState:
 PAIR_CAP_FACTOR = 10_000
 
 
-def _ends(c: Chromosome, scorer) -> tuple:
-    c.ends = (scorer,) + scorer.ends(c.surface)
-    return c.ends
-
-
 def junction_probability(scorer: ModelScorer, left: Chromosome, right: Chromosome) -> float:
     """Probability of the first token of ``right`` following the end of
     ``left`` under the token scorer."""
-    tail = left.ends
-    if tail is None or tail[0] is not scorer:
-        tail = _ends(left, scorer)
-    head = right.ends
-    if head is None or head[0] is not scorer:
-        head = _ends(right, scorer)
-    lp = scorer.kernel.score(tail[2], head[1])
+    lp = scorer.kernel.score(left.tail, right.head)
     # a log10 probability above 0 (possible with positive ARPA backoff
     # weights) is certain acceptance, and 10.0 ** lp may overflow
     return 10.0 ** lp if lp < 0.0 else 1.0
 
 
-def crossover(left: Chromosome, right: Chromosome) -> Chromosome:
-    """Juxtapose two chromosomes, composing whatever model state both carry."""
-    a, b = left.summary, right.summary
-    summary = compose(a, b) if a is not None and b is not None and a.scorer is b.scorer else None
-    e, f = left.ends, right.ends
-    ends = None
-    if e is not None and f is not None and e[0] is f[0] and len(right.surface) >= _span(e[0]):
-        ends = (e[0], e[1], f[2])
+def crossover(
+    left: Chromosome, right: Chromosome, scorer: ModelScorer, sig_scorer: ModelScorer
+) -> Chromosome:
+    """Juxtapose two chromosomes, composing the parents' model state."""
+    if len(right.templates) >= _span(scorer):
+        tail = right.tail
+    else:
+        tail = scorer.kernel.walk(left.tail, scorer.encode(_items(right.templates)))
     return Chromosome(
         left.templates + right.templates,
-        left.surface + right.surface,
-        left.signature + right.signature,
-        ends=ends,
-        summary=summary,
+        left.head,
+        tail,
+        compose(sig_scorer, left.summary, right.summary),
     )
 
 
 def mutate(
-    c: Chromosome, inventory: TemplateInventory, cfg: GAConfig, rng: random.Random
+    c: Chromosome,
+    inventory: TemplateInventory,
+    cfg: GAConfig,
+    scorer: ModelScorer,
+    sig_scorer: ModelScorer,
+    rng: random.Random,
 ) -> Chromosome:
     """With probability mutation_p, reset to one random inventory template."""
     if rng.random() < cfg.mutation_p:
-        return single(inventory.templates[rng.randrange(len(inventory.templates))])
+        template = inventory.templates[rng.randrange(len(inventory.templates))]
+        return make_chromosome((template,), scorer, sig_scorer)
     return c
 
 
@@ -266,14 +265,11 @@ def fitness(c: Chromosome, scorer: ModelScorer, cfg: GAConfig) -> float:
     sequence cost and the boundary-closed cost additionally normalized by the
     distance to the target length (clamped to >= 1) -- and maps it through
     10**(-cost), so 1.0 means every transition had probability one.  Both
-    costs come from ``c.summary``, built by one walk when ``c`` carries none
-    for the signature scorer.  Raises ``FitnessOverflow`` when 10**(-cost)
-    does not fit a float.
+    costs come from ``c.summary``.  Raises ``FitnessOverflow`` when
+    10**(-cost) does not fit a float.
     """
     s = c.summary
-    if s is None or s.scorer is not scorer:
-        s = c.summary = summarize(scorer, c.signature)
-    length = len(c.signature)
+    length = len(c.templates)
     nl_partial = -s.open_total
     nl_total = -(s.closed_total + scorer.kernel.score(s.closed_state, scorer.tables.eos_id))
     gap = abs(cfg.target_length - length)
@@ -287,14 +283,19 @@ def fitness(c: Chromosome, scorer: ModelScorer, cfg: GAConfig) -> float:
 
 
 def init_population(
-    inventory: TemplateInventory, cfg: GAConfig, sig_scorer: ModelScorer, rng: random.Random
+    inventory: TemplateInventory,
+    cfg: GAConfig,
+    scorer: ModelScorer,
+    sig_scorer: ModelScorer,
+    rng: random.Random,
 ) -> GAState:
     """Population of single random templates, fitness precomputed."""
     if not inventory.templates:
         raise EmptyInventory("no templates to draw from")
     population = []
     for _ in range(cfg.population_size):
-        c = single(inventory.templates[rng.randrange(len(inventory.templates))])
+        template = inventory.templates[rng.randrange(len(inventory.templates))]
+        c = make_chromosome((template,), scorer, sig_scorer)
         c.fitness = fitness(c, sig_scorer, cfg)
         population.append(c)
     return GAState(0, population, [_gen_stats(0, population)])
@@ -319,7 +320,8 @@ def tournament_round(
             if i == j:
                 continue
             if rng.random() < junction_probability(scorer, p, q):
-                child = mutate(crossover(p, q), inventory, cfg, rng)
+                child = crossover(p, q, scorer, sig_scorer)
+                child = mutate(child, inventory, cfg, scorer, sig_scorer, rng)
                 child.fitness = fitness(child, sig_scorer, cfg)
                 offspring.append(child)
     offspring.sort(key=lambda c: -c.fitness)
@@ -367,7 +369,7 @@ def run(
     the junction gate on the token ``scorer`` and fitness on ``sig_scorer``
     (``model.scorer`` of a trained model, or ``make_scorer`` of its tables)."""
     rng = random.Random(cfg.rng_seed)
-    state = init_population(inventory, cfg, sig_scorer, rng)
+    state = init_population(inventory, cfg, scorer, sig_scorer, rng)
     if observer is not None:
         observer(state)
     for _ in range(cfg.generations):
@@ -405,4 +407,5 @@ def stats_csv_lines(stats: Sequence[GenStats]) -> Iterator[str]:
 
 def population_lines(population: Sequence[Chromosome]) -> Iterator[str]:
     for c in population:
-        yield "%s\t%s\t%.8f" % (" ".join(c.surface), " ".join(c.signature), c.fitness)
+        tags = " ".join(t.tag for t in c.templates)
+        yield "%s\t%s\t%.8f" % (" ".join(_items(c.templates)), tags, c.fitness)

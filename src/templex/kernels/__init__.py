@@ -56,17 +56,6 @@ class ModelScorer:
         """log10 P(token | context); context is truncated to order - 1 tokens."""
         return self.kernel.logprob_ids(self.tables.encode_all(context), self.tables.encode(token))
 
-    def ends(self, tokens: Sequence[str]) -> tuple[int, int]:
-        """(id of the first token, state after the last order - 1 tokens).
-
-        A junction of two token sequences is then one ``kernel.score`` of
-        the left tail state and the right head id, equal to ``logprob`` of
-        the left side's last order - 1 tokens and the right side's first.
-        """
-        n = self.tables.order - 1
-        tail = self.tables.encode_all(tokens[-n:]) if n else ()
-        return self.tables.encode(tokens[0]), self.kernel.walk(0, tail)
-
     def sequence_logprob(self, tokens: Sequence[str], with_boundaries: bool = False) -> float:
         """Sum of per-token log10 probabilities, context growing left to right.
 

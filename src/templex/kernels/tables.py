@@ -277,7 +277,7 @@ def read_tables(path) -> ScorerTables:
         text = data[_HEADER.size : at].decode("utf-8")
     except UnicodeDecodeError:
         raise MalformedTables(path, "vocabulary is not UTF-8") from None
-    words = text.split("\n") if base > 1 else []
+    words = text.split("\n") if base > 1 or text else []
     token_ids = dict(zip(words, range(len(words))))
     view = memoryview(data)
     columns = []

@@ -97,37 +97,40 @@ def test_external_toolkit_arpa_scores_match_toolkits_own_scoring(data_dir):
     assert worst <= 1e-3, worst
 
 
-def test_crossover_produces_exact_juxtaposed_surface():
+def test_crossover_produces_exact_juxtaposed_surface(token_lm3, sig_lm5):
     """Joining the chromosome "in the NN" with "VBZ a NN" yields exactly
     "in the NN VBZ a NN"."""
     left = make_chromosome(
-        [Template(("in", "the", "NN"), "PP")]
+        [Template(("in", "the", "NN"), "PP")], token_lm3.scorer, sig_lm5.scorer
     )
     right = make_chromosome(
-        [Template(("VBZ", "a", "NN"), "VP")]
+        [Template(("VBZ", "a", "NN"), "VP")], token_lm3.scorer, sig_lm5.scorer
     )
-    child = crossover(left, right)
-    assert " ".join(child.surface) == "in the NN VBZ a NN"
+    child = crossover(left, right, token_lm3.scorer, sig_lm5.scorer)
+    assert " ".join(s for t in child.templates for s in t.items) == "in the NN VBZ a NN"
 
 
-def test_seeded_mutation_frequency_near_nominal_rate(desk_factored_inventory):
+def test_seeded_mutation_frequency_near_nominal_rate(
+    desk_factored_inventory, token_lm3, sig_lm5
+):
     """100,000 seeded mutate calls at p = 0.05 mutate with frequency
     0.05 +- 0.005."""
     cfg = GAConfig(target_length=5, population_size=10, tournament_size=5,
                    nbest=5, mutation_p=0.05, generations=1, rng_seed=0)
-    c = make_chromosome(desk_factored_inventory.templates[:2])
+    c = make_chromosome(desk_factored_inventory.templates[:2], token_lm3.scorer, sig_lm5.scorer)
     rng = random.Random(20250823)
     hits = sum(
         1
         for _ in range(100_000)
-        if mutate(c, desk_factored_inventory, cfg, rng) is not c
+        if mutate(c, desk_factored_inventory, cfg, token_lm3.scorer, sig_lm5.scorer, rng)
+        is not c
     )
     rate = hits / 100_000.0
     assert abs(rate - 0.05) <= 0.005, rate
 
 
 def test_fitness_equals_hand_applied_formula_on_hand_built_chromosomes(
-    sig_lm5, desk_factored_inventory
+    token_lm3, sig_lm5, desk_factored_inventory
 ):
     """On 20 hand-built chromosomes, fitness equals
     10**-max(NLp/len, NLt/((len+2)*max(1, |L-len|))) to 1e-12, stays finite
@@ -139,9 +142,12 @@ def test_fitness_equals_hand_applied_formula_on_hand_built_chromosomes(
     lengths = [1, 2, 3, 4, 5, 5, 6, 7, 8, 9, 10, 12, 1, 2, 3, 5, 6, 4, 11, 5]
     assert len(lengths) == 20 and cfg.target_length in lengths
     for n in lengths:
-        c = make_chromosome([ts[rng.randrange(len(ts))] for _ in range(n)])
-        nl_partial = -sig_lm5.scorer.sequence_logprob(c.signature, False)
-        nl_total = -sig_lm5.scorer.sequence_logprob(c.signature, True)
+        c = make_chromosome(
+            [ts[rng.randrange(len(ts))] for _ in range(n)], token_lm3.scorer, sig_lm5.scorer
+        )
+        tags = [t.tag for t in c.templates]
+        nl_partial = -sig_lm5.scorer.sequence_logprob(tags, False)
+        nl_total = -sig_lm5.scorer.sequence_logprob(tags, True)
         gap = max(1, abs(cfg.target_length - n))
         expected = 10.0 ** -max(nl_partial / n, nl_total / ((n + 2) * gap))
         got = fitness(c, sig_lm5.scorer, cfg)
@@ -205,7 +211,8 @@ def test_full_scale_evolution_invariants_hold_for_100_generations(sweep_setup):
     rng = random.Random(4242)
     for c in rng.sample(result.population, 1000):
         assert c.fitness == fitness(c, sig_lm.scorer, cfg)
-        assert c.fitness == fitness(make_chromosome(c.templates), sig_lm.scorer, cfg)
+        fresh = make_chromosome(c.templates, token_lm.scorer, sig_lm.scorer)
+        assert c.fitness == fitness(fresh, sig_lm.scorer, cfg)
 
     assert elapsed < 300.0, elapsed
 

@@ -26,16 +26,37 @@ from templex.ga import (
     mutate,
     population_lines,
     run,
-    single,
     stats_csv_lines,
     summarize,
     tournament_round,
 )
 from templex.ngram import NGramModel, train
 
+from test_kernels import pruned_models
+
 
 def lex_template(words, tag):
     return Template(tuple(words), tag)
+
+
+def items(c):
+    return tuple(s for t in c.templates for s in t.items)
+
+
+def tags(c):
+    return tuple(t.tag for t in c.templates)
+
+
+@pytest.fixture(scope="session")
+def chrom(token_lm3, sig_lm5):
+    """``make_chromosome`` under the desk token and signature models."""
+    return lambda templates: make_chromosome(templates, token_lm3.scorer, sig_lm5.scorer)
+
+
+@pytest.fixture(scope="session")
+def cross(token_lm3, sig_lm5):
+    """``crossover`` under the desk token and signature models."""
+    return lambda left, right: crossover(left, right, token_lm3.scorer, sig_lm5.scorer)
 
 
 def default_cfg(**kw):
@@ -55,61 +76,62 @@ def default_cfg(**kw):
 # ---------------------------------------------------------------- chromosomes
 
 
-def test_make_chromosome_concatenates_surfaces():
+def test_make_chromosome_concatenates_surfaces(chrom):
     a = lex_template(["in", "the"], "PP")
     b = lex_template(["box"], "NP")
-    c = make_chromosome([a, b])
-    assert c.surface == ("in", "the", "box")
-    assert c.signature == ("PP", "NP")
+    c = chrom([a, b])
+    assert items(c) == ("in", "the", "box")
+    assert tags(c) == ("PP", "NP")
     assert len(c) == 2
     assert c.fitness is None
 
 
-def test_single_wraps_one_template():
+def test_make_chromosome_wraps_one_template(chrom):
     t = lex_template(["quickly"], "ADVP")
-    c = single(t)
+    c = chrom((t,))
     assert c.templates == (t,)
-    assert c.surface == ("quickly",)
-    assert c.signature == ("ADVP",)
+    assert items(c) == ("quickly",)
+    assert tags(c) == ("ADVP",)
 
 
-def test_chromosome_identity_ignores_fitness():
-    t = lex_template(["x"], "NP")
-    a, b = single(t), single(t)
+def test_chromosome_identity_ignores_fitness(token_lm3, sig_lm5, sig_models):
+    t = lex_template(["the"], "NP")
+    a = make_chromosome((t,), token_lm3.scorer, sig_lm5.scorer)
+    b = make_chromosome((t,), sig_models[0].scorer, sig_models[0].scorer)
     a.fitness = 0.25
-    a.ends = (None, 0, 0)  # nor does the junction gate's cached state
-    a.summary = Summary(None, (), (), 0.0, 0.0, 0, 0)  # nor the fitness walk's
+    # nor does the carried model state
+    assert (a.head, a.tail, a.summary) != (b.head, b.tail, b.summary)
     assert a == b
-    assert "ends" not in repr(a) and "summary" not in repr(a)
+    assert "head" not in repr(a) and "tail" not in repr(a) and "summary" not in repr(a)
 
 
 # ------------------------------------------------------------------ crossover
 
 
-def test_crossover_ground_truth():
-    left = make_chromosome([lex_template(["in", "the", "NN"], "PP")])
-    right = make_chromosome([lex_template(["VBZ", "a", "NN"], "VP")])
-    child = crossover(left, right)
-    assert " ".join(child.surface) == "in the NN VBZ a NN"
-    assert child.signature == ("PP", "VP")
+def test_crossover_ground_truth(chrom, cross):
+    left = chrom([lex_template(["in", "the", "NN"], "PP")])
+    right = chrom([lex_template(["VBZ", "a", "NN"], "VP")])
+    child = cross(left, right)
+    assert " ".join(items(child)) == "in the NN VBZ a NN"
+    assert tags(child) == ("PP", "VP")
     assert child.templates == left.templates + right.templates
     assert child.fitness is None
 
 
-def test_crossover_leaves_parents_untouched():
-    left = make_chromosome([lex_template(["a"], "NP")])
-    right = make_chromosome([lex_template(["b"], "VP")])
-    before = (left.templates, left.surface, right.templates, right.surface)
-    crossover(left, right)
-    assert (left.templates, left.surface, right.templates, right.surface) == before
+def test_crossover_leaves_parents_untouched(chrom, cross):
+    left = chrom([lex_template(["a"], "NP")])
+    right = chrom([lex_template(["b"], "VP")])
+    before = [(c.templates, c.head, c.tail, c.summary) for c in (left, right)]
+    cross(left, right)
+    assert [(c.templates, c.head, c.tail, c.summary) for c in (left, right)] == before
 
 
-def test_crossover_is_associative_on_surfaces():
+def test_crossover_is_associative_on_surfaces(chrom, cross):
     ts = [lex_template([w], "NP") for w in ("u", "v", "w")]
-    a, b, c = map(single, ts)
-    left_first = crossover(crossover(a, b), c)
-    right_first = crossover(a, crossover(b, c))
-    assert left_first.surface == right_first.surface == ("u", "v", "w")
+    a, b, c = (chrom((t,)) for t in ts)
+    left_first = cross(cross(a, b), c)
+    right_first = cross(a, cross(b, c))
+    assert items(left_first) == items(right_first) == ("u", "v", "w")
     assert left_first.templates == right_first.templates
 
 
@@ -146,7 +168,7 @@ word_lists = st.lists(
 @given(a=tag_lists, b=tag_lists, which=st.integers(0, 3))
 def test_composed_summary_equals_summary_of_the_concatenation(sig_models, a, b, which):
     scorer = sig_models[which].scorer
-    got = compose(summarize(scorer, a), summarize(scorer, b))
+    got = compose(scorer, summarize(scorer, a), summarize(scorer, b))
     want = summarize(scorer, a + b)
     for name in Summary._fields:
         assert getattr(got, name) == getattr(want, name), name
@@ -160,14 +182,14 @@ def test_extension_is_one_rule(sig_models, items, cut, which):
     scorer = sig_models[which].scorer
     ids = scorer.encode(items)
     empty = summarize(scorer, [])
-    whole = _extend(empty, ids)
-    assert _extend(_extend(empty, ids[:cut]), ids[cut:]) == whole
+    whole = _extend(scorer, empty, ids)
+    assert _extend(scorer, _extend(scorer, empty, ids[:cut]), ids[cut:]) == whole
     s = empty
     for n in range(len(ids) + 1):
         if n >= scorer.tables.order - 1:
             assert s.closed_state == s.open_state, n
         if n < len(ids):
-            s = _extend(s, ids[n : n + 1])
+            s = _extend(scorer, s, ids[n : n + 1])
     assert s == whole
 
 
@@ -185,83 +207,102 @@ def test_summary_totals_equal_the_kernel_walk(sig_models, items, which):
 
 @settings(max_examples=300, deadline=None)
 @given(a=word_lists, b=word_lists, which=st.integers(0, 2))
-def test_crossover_carries_the_childs_ends(token_models, a, b, which):
-    lm = token_models[which]
-    left = make_chromosome([lex_template(w, "NP") for w in a])
-    right = make_chromosome([lex_template(w, "VP") for w in b])
-    junction_probability(lm.scorer, left, right)  # fills both parents' ends
-    child = crossover(left, right)
-    if len(right.surface) < lm.order - 1:
-        assert child.ends is None
-    else:
-        assert child.ends == (lm.scorer,) + lm.scorer.ends(child.surface)
+def test_crossover_carries_the_childs_ends(token_models, sig_lm5, a, b, which):
+    scorer = token_models[which].scorer
+    left = make_chromosome([lex_template(w, "NP") for w in a], scorer, sig_lm5.scorer)
+    right = make_chromosome([lex_template(w, "VP") for w in b], scorer, sig_lm5.scorer)
+    child = crossover(left, right, scorer, sig_lm5.scorer)
+    fresh = make_chromosome(child.templates, scorer, sig_lm5.scorer)
+    assert (child.head, child.tail) == (fresh.head, fresh.tail)
 
 
 @settings(max_examples=100, deadline=None)
 @given(a=word_lists, b=word_lists)
-def test_crossover_composes_the_parents_summaries(sig_lm5, a, b):
+def test_crossover_composes_the_parents_summaries(chrom, cross, sig_lm5, a, b):
     cfg = default_cfg()
-    left = make_chromosome([lex_template(w, t) for w, t in zip(a, ("NP", "QX", "VP", "O"))])
-    right = make_chromosome([lex_template(w, t) for w, t in zip(b, ("PP", "NP", "O", "VP"))])
-    fitness(left, sig_lm5.scorer, cfg)
-    fitness(right, sig_lm5.scorer, cfg)
-    child = crossover(left, right)
-    assert child.summary == summarize(sig_lm5.scorer, child.signature)
-    assert fitness(child, sig_lm5.scorer, cfg) == fitness(make_chromosome(child.templates), sig_lm5.scorer, cfg)
+    left = chrom([lex_template(w, t) for w, t in zip(a, ("NP", "QX", "VP", "O"))])
+    right = chrom([lex_template(w, t) for w, t in zip(b, ("PP", "NP", "O", "VP"))])
+    child = cross(left, right)
+    assert child.summary == summarize(sig_lm5.scorer, tags(child))
+    assert fitness(child, sig_lm5.scorer, cfg) == fitness(chrom(child.templates), sig_lm5.scorer, cfg)
 
 
-def test_crossover_without_carried_state_composes_nothing(sig_lm5):
-    left = make_chromosome([lex_template(["a"], "NP")])
-    right = make_chromosome([lex_template(["b", "c"], "VP")])
-    fitness(left, sig_lm5.scorer, default_cfg())  # only one parent has a summary
-    child = crossover(left, right)
-    assert child.summary is None and child.ends is None
+# items and tags the pruned models may or may not know; "<s>" and "</s>"
+# never appear inside a template
+pruned_templates = st.lists(
+    st.builds(
+        Template,
+        st.lists(st.sampled_from(["a", "b", "c", "oov"]), min_size=1, max_size=3).map(tuple),
+        st.sampled_from(["a", "b", "c", "oov"]),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(token=pruned_models(), sig=pruned_models(), a=pruned_templates, b=pruned_templates)
+def test_crossover_state_equals_a_fresh_chromosome_on_pruned_models(token, sig, a, b):
+    # right parents of fewer than order - 1 tokens walk on from the left tail
+    scorer, sig_scorer = token.scorer, sig.scorer
+    left = make_chromosome(a, scorer, sig_scorer)
+    right = make_chromosome(b, scorer, sig_scorer)
+    child = crossover(left, right, scorer, sig_scorer)
+    fresh = make_chromosome(a + b, scorer, sig_scorer)
+    assert child.head == fresh.head
+    assert child.tail == fresh.tail
+    assert child.summary == fresh.summary
+    # the gate is the string query of left's last order - 1 tokens and
+    # right's first, with a log10 probability at or above 0 accepted
+    ctx = items(left)[-(token.order - 1) :] if token.order > 1 else ()
+    lp = scorer.logprob(ctx, items(right)[0])
+    assert junction_probability(scorer, left, right) == (10**lp if lp < 0.0 else 1.0)
 
 
 # ----------------------------------------------------------------- junctions
 
 
-def test_junction_uses_last_context_window(token_lm3, desk_factored_inventory):
+def test_junction_uses_last_context_window(chrom, token_lm3, desk_factored_inventory):
     ts = desk_factored_inventory.templates
-    left = make_chromosome(ts[:3])
-    right = single(ts[4])
-    expected = 10 ** token_lm3.scorer.logprob(left.surface[-2:], right.surface[0])
+    left = chrom(ts[:3])
+    right = chrom(ts[4:5])
+    expected = 10 ** token_lm3.scorer.logprob(items(left)[-2:], items(right)[0])
     assert junction_probability(token_lm3.scorer, left, right) == pytest.approx(
         expected, rel=1e-12
     )
 
 
-def test_junction_with_short_left_side(token_lm3):
-    left = make_chromosome([lex_template(["solo"], "NP")])
-    right = make_chromosome([lex_template(["next"], "VP")])
+def test_junction_with_short_left_side(chrom, token_lm3):
+    left = chrom([lex_template(["solo"], "NP")])
+    right = chrom([lex_template(["next"], "VP")])
     expected = 10 ** token_lm3.scorer.logprob(("solo",), "next")
     assert junction_probability(token_lm3.scorer, left, right) == pytest.approx(
         expected, rel=1e-12
     )
 
 
-def test_junction_under_unigram_model(desk_token_seqs):
+def test_junction_under_unigram_model(desk_token_seqs, sig_lm5):
     lm1 = train(desk_token_seqs, 1)
-    left = make_chromosome([lex_template(["whatever", "context"], "NP")])
-    right = make_chromosome([lex_template(["x"], "VP")])
+    left = make_chromosome([lex_template(["whatever", "context"], "NP")], lm1.scorer, sig_lm5.scorer)
+    right = make_chromosome([lex_template(["x"], "VP")], lm1.scorer, sig_lm5.scorer)
     assert junction_probability(lm1.scorer, left, right) == pytest.approx(
         10 ** lm1.scorer.logprob((), "x"), rel=1e-12
     )
 
 
-def test_top_order_backoffs_leave_the_state_empty():
+def test_top_order_backoffs_leave_the_state_empty(sig_lm5):
     # an ARPA file may give an order-1 model's unigrams backoff weights;
     # they back off from no context, so no query adds them
     lm = NGramModel(1, frozenset("ab"), {("a",): -0.5, ("b",): -0.7}, {("a",): -0.3})
     scorer = lm.scorer
     assert scorer.sequence_logprob(["a", "b"]) == scorer.logprob([], "a") + scorer.logprob(["a"], "b")
     assert scorer.sequence_logprob(["a", "b"]) == -0.5 + -0.7
-    left = make_chromosome([lex_template(["a"], "NP")])
-    right = make_chromosome([lex_template(["b"], "VP")])
+    left = make_chromosome([lex_template(["a"], "NP")], scorer, sig_lm5.scorer)
+    right = make_chromosome([lex_template(["b"], "VP")], scorer, sig_lm5.scorer)
     assert junction_probability(lm.scorer, left, right) == 10.0 ** scorer.logprob(["a"], "b")
 
 
-def random_chromosomes(inventory, rng, n):
+def random_chromosomes(inventory, rng, n, scorer, sig_scorer):
     """Chromosomes of 1-4 templates, half of them drawn from the 1-token
     templates so that order-3 tails often span two or more templates."""
     ts = inventory.templates
@@ -272,74 +313,82 @@ def random_chromosomes(inventory, rng, n):
             rng.choice(ones) if rng.random() < 0.5 else rng.choice(ts)
             for _ in range(rng.randrange(1, 5))
         ]
-        chroms.append(make_chromosome(picks))
-    chroms.append(make_chromosome([lex_template(["never-seen", "unseen-too"], "NP")]))
+        chroms.append(make_chromosome(picks, scorer, sig_scorer))
+    unseen = [lex_template(["never-seen", "unseen-too"], "NP")]
+    chroms.append(make_chromosome(unseen, scorer, sig_scorer))
     return chroms
 
 
 def string_junction(lm, left, right):
-    ctx = left.surface[-(lm.order - 1) :] if lm.order > 1 else ()
-    return 10 ** lm.scorer.logprob(ctx, right.surface[0])
+    ctx = items(left)[-(lm.order - 1) :] if lm.order > 1 else ()
+    return 10 ** lm.scorer.logprob(ctx, items(right)[0])
 
 
 def test_junction_equals_string_query_exactly(
-    token_lm3, desk_token_seqs, desk_factored_inventory
+    token_lm3, sig_lm5, desk_token_seqs, desk_factored_inventory
 ):
     lm1 = train(desk_token_seqs, 1)
-    chroms = random_chromosomes(desk_factored_inventory, random.Random(34), 40)
-    # some tails cross a template boundary
-    assert any(len(c.templates[-1].items) == 1 < len(c.surface) for c in chroms)
-    # alternating models on the same chromosomes refills the cached ends
-    for lm in (token_lm3, lm1, token_lm3, lm1):
+    for lm in (token_lm3, lm1):
+        rng = random.Random(34)
+        chroms = random_chromosomes(desk_factored_inventory, rng, 40, lm.scorer, sig_lm5.scorer)
+        # some tails cross a template boundary
+        assert any(len(c.templates[-1].items) == 1 < len(items(c)) for c in chroms)
         for left in chroms:
             for right in chroms:
                 assert junction_probability(lm.scorer, left, right) == string_junction(
                     lm, left, right
-                ), (lm.order, left.surface, right.surface)
-        assert all(c.ends[0] is lm.scorer for c in chroms)
+                ), (lm.order, items(left), items(right))
 
 
 # ------------------------------------------------------------------- mutation
 
 
-def test_mutation_never_fires_at_zero(desk_factored_inventory):
+@pytest.fixture(scope="session")
+def mutated(token_lm3, sig_lm5, desk_factored_inventory):
+    """``mutate`` over the desk inventory and models."""
+    return lambda c, cfg, rng: mutate(
+        c, desk_factored_inventory, cfg, token_lm3.scorer, sig_lm5.scorer, rng
+    )
+
+
+def test_mutation_never_fires_at_zero(chrom, mutated, desk_factored_inventory):
     rng = random.Random(3)
     cfg = default_cfg(mutation_p=0.0)
-    c = make_chromosome(desk_factored_inventory.templates[:2])
+    c = chrom(desk_factored_inventory.templates[:2])
     for _ in range(200):
-        assert mutate(c, desk_factored_inventory, cfg, rng) is c
+        assert mutated(c, cfg, rng) is c
 
 
-def test_mutation_always_fires_at_one(desk_factored_inventory):
+def test_mutation_always_fires_at_one(chrom, mutated, desk_factored_inventory):
     rng = random.Random(4)
     cfg = default_cfg(mutation_p=1.0)
-    c = make_chromosome(desk_factored_inventory.templates[:2])
+    c = chrom(desk_factored_inventory.templates[:2])
     for _ in range(200):
-        m = mutate(c, desk_factored_inventory, cfg, rng)
+        m = mutated(c, cfg, rng)
         assert len(m) == 1
         assert m.templates[0] in desk_factored_inventory.templates
 
 
-def test_mutation_replays_under_a_seed(desk_factored_inventory):
+def test_mutation_replays_under_a_seed(chrom, mutated, desk_factored_inventory):
     cfg = default_cfg(mutation_p=0.4)
-    c = make_chromosome(desk_factored_inventory.templates[:2])
+    c = chrom(desk_factored_inventory.templates[:2])
 
     def trail(seed):
         rng = random.Random(seed)
-        return [mutate(c, desk_factored_inventory, cfg, rng).surface for _ in range(500)]
+        return [items(mutated(c, cfg, rng)) for _ in range(500)]
 
     assert trail(11) == trail(11)
     assert trail(11) != trail(12)
 
 
-def test_mutation_consumes_documented_draws(desk_factored_inventory):
+def test_mutation_consumes_documented_draws(chrom, mutated, desk_factored_inventory):
     # one random() when it misses; one random() plus one randrange() when it hits
     cfg = default_cfg(mutation_p=0.5)
-    c = make_chromosome(desk_factored_inventory.templates[:2])
+    c = chrom(desk_factored_inventory.templates[:2])
     rng = random.Random(77)
     shadow = random.Random(77)
     for _ in range(300):
-        got = mutate(c, desk_factored_inventory, cfg, rng)
+        got = mutated(c, cfg, rng)
         if shadow.random() < cfg.mutation_p:
             want = desk_factored_inventory.templates[
                 shadow.randrange(len(desk_factored_inventory.templates))
@@ -353,24 +402,24 @@ def test_mutation_consumes_documented_draws(desk_factored_inventory):
 # -------------------------------------------------------------------- fitness
 
 
-def test_fitness_formula_hand_applied(sig_lm5, desk_factored_inventory):
+def test_fitness_formula_hand_applied(chrom, sig_lm5, desk_factored_inventory):
     cfg = default_cfg(target_length=5)
     for k in (1, 2, 5, 9):
-        c = make_chromosome(desk_factored_inventory.templates[:k])
-        nl_partial = -sig_lm5.scorer.sequence_logprob(c.signature, False)
-        nl_total = -sig_lm5.scorer.sequence_logprob(c.signature, True)
+        c = chrom(desk_factored_inventory.templates[:k])
+        nl_partial = -sig_lm5.scorer.sequence_logprob(tags(c), False)
+        nl_total = -sig_lm5.scorer.sequence_logprob(tags(c), True)
         gap = max(1, abs(cfg.target_length - k))
         expected = 10.0 ** -max(nl_partial / k, nl_total / ((k + 2) * gap))
         assert fitness(c, sig_lm5.scorer, cfg) == pytest.approx(expected, abs=1e-15)
 
 
-def test_fitness_matches_independent_scorer(sig_lm5, sig_oracle, desk_factored_inventory):
+def test_fitness_matches_independent_scorer(chrom, sig_lm5, sig_oracle, desk_factored_inventory):
     cfg = default_cfg(target_length=4)
     rng = random.Random(21)
     ts = desk_factored_inventory.templates
     for _ in range(40):
-        c = make_chromosome([ts[rng.randrange(len(ts))] for _ in range(rng.randrange(1, 8))])
-        sig = list(c.signature)
+        c = chrom([ts[rng.randrange(len(ts))] for _ in range(rng.randrange(1, 8))])
+        sig = list(tags(c))
         nl_partial = -sig_oracle.seq_logprob(sig, False)
         nl_total = -sig_oracle.seq_logprob(sig, True)
         gap = max(1, abs(cfg.target_length - len(sig)))
@@ -380,20 +429,20 @@ def test_fitness_matches_independent_scorer(sig_lm5, sig_oracle, desk_factored_i
         assert fitness(c, sig_lm5.scorer, cfg) == pytest.approx(expected, abs=1e-9)
 
 
-def test_fitness_bounded_in_unit_interval(sig_lm5, desk_factored_inventory):
+def test_fitness_bounded_in_unit_interval(chrom, sig_lm5, desk_factored_inventory):
     cfg = default_cfg()
     rng = random.Random(22)
     ts = desk_factored_inventory.templates
     for _ in range(120):
-        c = make_chromosome([ts[rng.randrange(len(ts))] for _ in range(rng.randrange(1, 12))])
+        c = chrom([ts[rng.randrange(len(ts))] for _ in range(rng.randrange(1, 12))])
         f = fitness(c, sig_lm5.scorer, cfg)
         assert 0.0 < f <= 1.0
 
 
-def test_fitness_finite_at_target_length(sig_lm5, desk_factored_inventory):
+def test_fitness_finite_at_target_length(chrom, sig_lm5, desk_factored_inventory):
     # the length gap clamps to one instead of zeroing the denominator
     cfg = default_cfg(target_length=3)
-    c = make_chromosome(desk_factored_inventory.templates[:3])
+    c = chrom(desk_factored_inventory.templates[:3])
     f = fitness(c, sig_lm5.scorer, cfg)
     assert 0.0 < f <= 1.0
 
@@ -403,7 +452,7 @@ def test_fitness_finite_at_target_length(sig_lm5, desk_factored_inventory):
 
 def test_init_population_is_single_templates(desk_factored_inventory, token_lm3, sig_lm5):
     cfg = default_cfg(population_size=50)
-    state = init_population(desk_factored_inventory, cfg, sig_lm5.scorer, random.Random(5))
+    state = init_population(desk_factored_inventory, cfg, token_lm3.scorer, sig_lm5.scorer, random.Random(5))
     assert state.generation == 0
     assert len(state.population) == 50
     assert len(state.stats) == 1
@@ -413,9 +462,9 @@ def test_init_population_is_single_templates(desk_factored_inventory, token_lm3,
         assert c.templates[0] in desk_factored_inventory.templates
 
 
-def test_init_population_replays_randrange(desk_factored_inventory, sig_lm5):
+def test_init_population_replays_randrange(desk_factored_inventory, token_lm3, sig_lm5):
     cfg = default_cfg(population_size=40)
-    state = init_population(desk_factored_inventory, cfg, sig_lm5.scorer, random.Random(9))
+    state = init_population(desk_factored_inventory, cfg, token_lm3.scorer, sig_lm5.scorer, random.Random(9))
     shadow = random.Random(9)
     want = [
         desk_factored_inventory.templates[
@@ -426,9 +475,9 @@ def test_init_population_replays_randrange(desk_factored_inventory, sig_lm5):
     assert [c.templates[0] for c in state.population] == want
 
 
-def test_init_population_draws_uniformly(desk_factored_inventory, sig_lm5):
+def test_init_population_draws_uniformly(desk_factored_inventory, token_lm3, sig_lm5):
     cfg = default_cfg(population_size=8000, tournament_size=5)
-    state = init_population(desk_factored_inventory, cfg, sig_lm5.scorer, random.Random(6))
+    state = init_population(desk_factored_inventory, cfg, token_lm3.scorer, sig_lm5.scorer, random.Random(6))
     index = desk_factored_inventory.index()
     observed = [0] * len(desk_factored_inventory.templates)
     for c in state.population:
@@ -437,10 +486,10 @@ def test_init_population_draws_uniformly(desk_factored_inventory, sig_lm5):
     assert p > 0.001
 
 
-def test_empty_inventory_rejected(sig_lm5):
+def test_empty_inventory_rejected(token_lm3, sig_lm5):
     empty = extract_templates([])
     with pytest.raises(EmptyInventory):
-        init_population(empty, default_cfg(), sig_lm5.scorer, random.Random(0))
+        init_population(empty, default_cfg(), token_lm3.scorer, sig_lm5.scorer, random.Random(0))
 
 
 # ------------------------------------------------------------------ tournament
@@ -451,7 +500,7 @@ def test_tournament_round_replays_documented_rng_contract(
 ):
     cfg = default_cfg(population_size=40, tournament_size=6, nbest=8, mutation_p=0.1)
     rng = random.Random(31)
-    state = init_population(desk_factored_inventory, cfg, sig_lm5.scorer, rng)
+    state = init_population(desk_factored_inventory, cfg, token_lm3.scorer, sig_lm5.scorer, rng)
     replay = random.Random()
     replay.setstate(rng.getstate())
 
@@ -465,19 +514,18 @@ def test_tournament_round_replays_documented_rng_contract(
             if i == j:
                 continue
             if replay.random() < junction_probability(token_lm3.scorer, p, q):
-                child = crossover(p, q)
+                child = crossover(p, q, token_lm3.scorer, sig_lm5.scorer)
                 if replay.random() < cfg.mutation_p:
-                    child = single(
-                        desk_factored_inventory.templates[
-                            replay.randrange(len(desk_factored_inventory.templates))
-                        ]
-                    )
+                    template = desk_factored_inventory.templates[
+                        replay.randrange(len(desk_factored_inventory.templates))
+                    ]
+                    child = make_chromosome((template,), token_lm3.scorer, sig_lm5.scorer)
                 child.fitness = fitness(child, sig_lm5.scorer, cfg)
                 children.append(child)
     children.sort(key=lambda c: -c.fitness)
     want = children[: cfg.nbest]
 
-    assert [c.surface for c in got] == [c.surface for c in want]
+    assert [items(c) for c in got] == [items(c) for c in want]
     assert [c.fitness for c in got] == [c.fitness for c in want]
     assert rng.getstate() == replay.getstate()
 
@@ -485,7 +533,7 @@ def test_tournament_round_replays_documented_rng_contract(
 def test_tournament_output_sorted_and_capped(desk_factored_inventory, token_lm3, sig_lm5):
     cfg = default_cfg(population_size=40, tournament_size=8, nbest=6)
     rng = random.Random(32)
-    state = init_population(desk_factored_inventory, cfg, sig_lm5.scorer, rng)
+    state = init_population(desk_factored_inventory, cfg, token_lm3.scorer, sig_lm5.scorer, rng)
     for _ in range(25):
         out = tournament_round(state, cfg, token_lm3.scorer, sig_lm5.scorer, desk_factored_inventory, rng)
         assert len(out) <= cfg.nbest
@@ -503,10 +551,9 @@ def test_rejecting_junctions_produce_no_offspring(desk_factored_inventory, sig_l
     words = {s for t in desk_factored_inventory.templates for s in t.items}
     cfg = default_cfg(population_size=12, tournament_size=4, nbest=4)
     rng = random.Random(33)
-    state = init_population(desk_factored_inventory, cfg, sig_lm5.scorer, rng)
-    out = tournament_round(
-        state, cfg, rejecting_model(words).scorer, sig_lm5.scorer, desk_factored_inventory, rng
-    )
+    rejecting = rejecting_model(words).scorer
+    state = init_population(desk_factored_inventory, cfg, rejecting, sig_lm5.scorer, rng)
+    out = tournament_round(state, cfg, rejecting, sig_lm5.scorer, desk_factored_inventory, rng)
     assert out == []
 
 
@@ -519,7 +566,7 @@ def test_generation_preserves_population_size(
     for pop in (9, 10, 31):
         cfg = default_cfg(population_size=pop, tournament_size=4, nbest=4)
         rng = random.Random(41)
-        state = init_population(desk_factored_inventory, cfg, sig_lm5.scorer, rng)
+        state = init_population(desk_factored_inventory, cfg, token_lm3.scorer, sig_lm5.scorer, rng)
         for _ in range(3):
             state = evolve_generation(
                 state, cfg, token_lm3.scorer, sig_lm5.scorer, desk_factored_inventory, rng
@@ -530,7 +577,7 @@ def test_generation_preserves_population_size(
 def test_generation_keeps_fittest_parent(desk_factored_inventory, token_lm3, sig_lm5):
     cfg = default_cfg(population_size=20, tournament_size=4, nbest=4)
     rng = random.Random(42)
-    state = init_population(desk_factored_inventory, cfg, sig_lm5.scorer, rng)
+    state = init_population(desk_factored_inventory, cfg, token_lm3.scorer, sig_lm5.scorer, rng)
     for _ in range(5):
         best_parent = max(state.population, key=lambda c: c.fitness)
         state = evolve_generation(
@@ -545,7 +592,7 @@ def test_generation_structure_is_parents_plus_offspring(
 ):
     cfg = default_cfg(population_size=16, tournament_size=4, nbest=4)
     rng = random.Random(43)
-    state = init_population(desk_factored_inventory, cfg, sig_lm5.scorer, rng)
+    state = init_population(desk_factored_inventory, cfg, token_lm3.scorer, sig_lm5.scorer, rng)
     parents = sorted(state.population, key=lambda c: -c.fitness)
     nxt = evolve_generation(state, cfg, token_lm3.scorer, sig_lm5.scorer, desk_factored_inventory, rng)
     # the fittest half of the parents comes first, in fitness order
@@ -556,11 +603,10 @@ def test_rejecting_model_falls_back_to_parents(desk_factored_inventory, sig_lm5)
     words = {s for t in desk_factored_inventory.templates for s in t.items}
     cfg = default_cfg(population_size=6, tournament_size=3, nbest=3)
     rng = random.Random(44)
-    state = init_population(desk_factored_inventory, cfg, sig_lm5.scorer, rng)
+    rejecting = rejecting_model(words).scorer
+    state = init_population(desk_factored_inventory, cfg, rejecting, sig_lm5.scorer, rng)
     parents = sorted(state.population, key=lambda c: -c.fitness)
-    nxt = evolve_generation(
-        state, cfg, rejecting_model(words).scorer, sig_lm5.scorer, desk_factored_inventory, rng
-    )
+    nxt = evolve_generation(state, cfg, rejecting, sig_lm5.scorer, desk_factored_inventory, rng)
     assert nxt.generation == 1
     assert nxt.population == parents  # cap hit, population carried over whole
 
@@ -633,7 +679,7 @@ def test_evolved_survivors_resemble_training_signatures(
         return any(hay[i : i + n] == needle for i in range(len(hay) - n + 1))
 
     top = sorted(res.population, key=lambda c: -c.fitness)[:20]
-    hits = sum(1 for c in top if any(contiguous(c.signature, s) for s in train_sigs))
+    hits = sum(1 for c in top if any(contiguous(tags(c), s) for s in train_sigs))
     assert hits >= 10  # at least half
 
 
@@ -653,8 +699,8 @@ def test_stats_csv_rendering():
     assert lines[2] == "1,0.123457,1.000000,2.500000,1.250000"
 
 
-def test_population_line_rendering():
-    c = make_chromosome(
+def test_population_line_rendering(chrom):
+    c = chrom(
         [lex_template(["the", "cat"], "NP"), lex_template(["sat"], "VP")]
     )
     c.fitness = 0.5
@@ -662,11 +708,11 @@ def test_population_line_rendering():
     assert line == "the cat sat\tNP VP\t0.50000000"
 
 
-def test_gen_stats_hand_checked():
+def test_gen_stats_hand_checked(chrom):
     from templex.ga import _gen_stats
 
-    a = make_chromosome([lex_template(["x"], "NP")])
-    b = make_chromosome([lex_template(["y"], "VP"), lex_template(["z"], "NP")])
+    a = chrom([lex_template(["x"], "NP")])
+    b = chrom([lex_template(["y"], "VP"), lex_template(["z"], "NP")])
     a.fitness, b.fitness = 0.2, 0.6
     s = _gen_stats(3, [a, b])
     assert s.generation == 3

@@ -14,6 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import templex.kernels
+from templex.corpus import Template
+from templex.ga import make_chromosome
 from templex.kernels import (
     DEFAULT_BACKEND,
     ModelScorer,
@@ -21,6 +23,7 @@ from templex.kernels import (
     make_scorer,
 )
 from templex.kernels.tables import (
+    _HEADER,
     MAGIC,
     MalformedTables,
     ScorerTables,
@@ -311,17 +314,22 @@ def test_score_bit_identical_across_backends(token_lm3, sig_lm5):
                     model.order, state, tid)
 
 
-def test_ends_match_string_queries(token_lm3, desk_token_seqs):
+def test_ends_match_string_queries(token_lm3, sig_lm5, desk_token_seqs):
+    # a chromosome's head and tail, one template per token
     lm1 = train(desk_token_seqs, 1)
     rng = random.Random(4101)
     for model in (token_lm3, lm1):
         sc = model.scorer
+
+        def chromosome(tokens):
+            return make_chromosome([Template((w,), "NP") for w in tokens], sc, sig_lm5.scorer)
+
         words = sorted(model.vocab) + ["oov-x"]
         for _ in range(200):
             left = [rng.choice(words) for _ in range(rng.randrange(1, 5))]
             right = [rng.choice(words) for _ in range(rng.randrange(1, 3))]
-            _, tail = sc.ends(left)
-            head, _ = sc.ends(right)
+            tail = chromosome(left).tail
+            head = chromosome(right).head
             assert head == sc.tables.encode(right[0])
             ctx = left[-(model.order - 1) :] if model.order > 1 else ()
             assert sc.kernel.score(tail, head) == sc.logprob(ctx, right[0])
@@ -450,6 +458,15 @@ def rewritten(tables, **changes):
     return ScorerTables(**dict(vars(tables), **changes))
 
 
+def vocabulary_without_base(b, t):
+    """The header says there is no vocabulary (base 1), but 11 bytes of one
+    follow it."""
+    fields = list(_HEADER.unpack_from(b))
+    nvocab = fields[7]
+    fields[3], fields[7] = 1, 11
+    return _HEADER.pack(*fields) + b"hello\nworld" + b[_HEADER.size + nvocab :]
+
+
 @pytest.mark.parametrize(
     "damage, reason",
     [
@@ -458,8 +475,9 @@ def rewritten(tables, **changes):
         (lambda b, t: b[:20], "shorter than the header"),
         (lambda b, t: b"x" + b[1:], "not a templex tables file"),
         (lambda b, t: b[: len(MAGIC)] + struct.pack("<I", 99) + b[len(MAGIC) + 4 :], "format version 99"),
+        (vocabulary_without_base, "vocabulary does not match its header"),
     ],
-    ids=["truncated", "extended", "header-cut", "magic", "version"],
+    ids=["truncated", "extended", "header-cut", "magic", "version", "vocabulary-without-base"],
 )
 def test_read_tables_rejects_damaged_bytes(tmp_path, sig_lm5, damage, reason):
     path = tmp_path / "m.tables"
