@@ -259,6 +259,14 @@ def artifact_digests(outdir: Path) -> dict[str, str]:
     return digests
 
 
+def _write_model(model, outdir: Path, arpa_name: str, tables_name: str) -> None:
+    """Write ``model`` as ARPA text and its tables as the writer compiled them."""
+    with _replacing(outdir / arpa_name) as tmp:
+        tables = write_arpa_file(model, tmp)
+    with _replacing(outdir / tables_name) as tmp:
+        write_tables(tables, tmp)
+
+
 def cmd_train(cfg: RunConfig) -> int:
     try:
         sentences = parse_conll_file(cfg.corpus)
@@ -280,9 +288,6 @@ def cmd_train(cfg: RunConfig) -> int:
     else:
         token_seqs = [[t.surface for t in s.tokens] for s in sentences]
     del sentences  # the token stream and the inventory hold all that is left to use
-    token_lm = train(token_seqs, cfg.token_lm_order)
-    del token_seqs
-    sig_lm = train(inventory.signature_sequences(), cfg.signature_lm_order)
 
     outdir = cfg.outdir
     try:
@@ -296,15 +301,15 @@ def cmd_train(cfg: RunConfig) -> int:
     except OSError as exc:
         raise DataError("cannot remove old manifest in %s: %s" % (outdir, exc)) from None
     _write_lines(outdir / INVENTORY_FILE, inventory_lines(inventory))
+    # One model at a time: the token model and its tables are written and
+    # dropped before the signature model is trained.
     try:
-        for model, arpa_name, tables_name in (
-            (token_lm, TOKEN_LM_FILE, TOKEN_TABLES_FILE),
-            (sig_lm, SIGNATURE_LM_FILE, SIGNATURE_TABLES_FILE),
-        ):
-            with _replacing(outdir / arpa_name) as tmp:
-                tables = write_arpa_file(model, tmp)
-            with _replacing(outdir / tables_name) as tmp:
-                write_tables(tables, tmp)
+        token_lm = train(token_seqs, cfg.token_lm_order)
+        del token_seqs
+        _write_model(token_lm, outdir, TOKEN_LM_FILE, TOKEN_TABLES_FILE)
+        del token_lm
+        sig_lm = train(inventory.signature_sequences(), cfg.signature_lm_order)
+        _write_model(sig_lm, outdir, SIGNATURE_LM_FILE, SIGNATURE_TABLES_FILE)
         digests = artifact_digests(outdir)
     except OSError as exc:
         raise DataError("cannot write models: %s" % exc) from None

@@ -53,7 +53,7 @@ class AnnotatedSentence:
     tokens: tuple[AnnotatedToken, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Template:
     """A chunk-derived sequence of words and ``__POS__`` gaps; the atomic
     unit of combination.
@@ -62,6 +62,12 @@ class Template:
     to gap a word to; it is empty for templates read from ``inventory.tsv``.
     Identity (hashing/equality) is on ``(items, tag, pos)``; ``count`` is the
     merged occurrence count within one inventory.
+
+    An inventory holds tens of thousands of templates, so a template has
+    slots and no ``__dict__``, and equal strings are one object across an
+    inventory: ``parse_conll`` and ``parse_inventory_lines`` map each word
+    and tag to the first object seen with its value, and factoring interns
+    its gaps.
     """
 
     items: tuple[str, ...]
@@ -261,6 +267,8 @@ def parse_inventory_lines(lines: Iterable[str]) -> TemplateInventory:
     """
     templates: list[Template] = []
     total = 0
+    # each item and tag mapped to its first object, so equal strings are one
+    seen: dict[str, str] = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.rstrip("\n")
         if not line:
@@ -277,11 +285,12 @@ def parse_inventory_lines(lines: Iterable[str]) -> TemplateInventory:
             raise MalformedLine(lineno, line, "count must be >= 1, got %d" % count)
         if tag.split() != [tag]:
             raise MalformedLine(lineno, line, "tag must be one word, got %r" % tag)
-        items = tuple(items_s.split(" "))
+        words = items_s.split(" ")
+        items = tuple(map(seen.setdefault, words, words))
         if "" in items:
             raise MalformedLine(lineno, line, "empty item")
         if tag in RESERVED or not RESERVED.isdisjoint(items):
             raise MalformedLine(lineno, line, "tag or item is a reserved model symbol")
-        templates.append(Template(items, tag, count))
+        templates.append(Template(items, seen.setdefault(tag, tag), count))
         total += count
     return TemplateInventory(templates, [], total)

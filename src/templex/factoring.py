@@ -60,8 +60,9 @@ def bare_factors(surface: str) -> str:
 def _factor_template(t: Template, kept: frozenset[str]) -> tuple[str, ...]:
     """The items of ``t`` with every word outside ``kept`` gapped."""
     # A gap re-factors to itself: kept or not, it is ``__POS__`` of its own POS.
+    # Gaps are interned, as in the token stream, so each POS has one gap string.
     return tuple(
-        w if w in kept else "__%s__" % p for w, p in zip(t.items, t.pos, strict=True)
+        w if w in kept else sys.intern("__%s__" % p) for w, p in zip(t.items, t.pos, strict=True)
     )
 
 

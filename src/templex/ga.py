@@ -205,12 +205,16 @@ class GenStats:
 
 @dataclass
 class GAState:
-    """A generation's population and the stats of every generation so far;
-    ``run`` returns the final one."""
+    """A generation's population, the stats of every generation so far, and
+    the scorers its chromosomes' model state belongs to; ``run`` returns the
+    final one.  The operators read the scorers from here, so a population is
+    never scored under other models than it was made with."""
 
     generation: int
     population: list[Chromosome]
     stats: list[GenStats]
+    scorer: ModelScorer = field(repr=False)  # the token scorer: junction gate
+    sig_scorer: ModelScorer = field(repr=False)  # the signature scorer: fitness
 
 
 # Gives up on a generation after this many candidate pairs per population
@@ -298,20 +302,16 @@ def init_population(
         c = make_chromosome((template,), scorer, sig_scorer)
         c.fitness = fitness(c, sig_scorer, cfg)
         population.append(c)
-    return GAState(0, population, [_gen_stats(0, population)])
+    return GAState(0, population, [_gen_stats(0, population)], scorer, sig_scorer)
 
 
 def tournament_round(
-    state: GAState,
-    cfg: GAConfig,
-    scorer: ModelScorer,
-    sig_scorer: ModelScorer,
-    inventory: TemplateInventory,
-    rng: random.Random,
+    state: GAState, cfg: GAConfig, inventory: TemplateInventory, rng: random.Random
 ) -> list[Chromosome]:
     """One tournament: all ordered pairs of a random sample, junction-gated
     crossover, mutation, then the nbest offspring by fitness (ties keep
     production order)."""
+    scorer, sig_scorer = state.scorer, state.sig_scorer
     idxs = rng.sample(range(len(state.population)), cfg.tournament_size)
     sample = [state.population[i] for i in idxs]
     offspring: list[Chromosome] = []
@@ -329,12 +329,7 @@ def tournament_round(
 
 
 def evolve_generation(
-    state: GAState,
-    cfg: GAConfig,
-    scorer: ModelScorer,
-    sig_scorer: ModelScorer,
-    inventory: TemplateInventory,
-    rng: random.Random,
+    state: GAState, cfg: GAConfig, inventory: TemplateInventory, rng: random.Random
 ) -> GAState:
     """Accumulate tournament offspring for half the population, then keep the
     fittest half of the parents plus the fittest offspring, padding with
@@ -346,7 +341,7 @@ def evolve_generation(
     offspring: list[Chromosome] = []
     pairs = 0
     while len(offspring) < need and pairs < pair_cap:
-        offspring.extend(tournament_round(state, cfg, scorer, sig_scorer, inventory, rng))
+        offspring.extend(tournament_round(state, cfg, inventory, rng))
         pairs += pairs_per_round
     parents = sorted(state.population, key=lambda c: -c.fitness)
     offspring.sort(key=lambda c: -c.fitness)
@@ -355,7 +350,13 @@ def evolve_generation(
         shortfall = pop_size - len(next_pop)
         next_pop.extend(parents[pop_size // 2 : pop_size // 2 + shortfall])
     generation = state.generation + 1
-    return GAState(generation, next_pop, state.stats + [_gen_stats(generation, next_pop)])
+    return GAState(
+        generation,
+        next_pop,
+        state.stats + [_gen_stats(generation, next_pop)],
+        state.scorer,
+        state.sig_scorer,
+    )
 
 
 def run(
@@ -373,7 +374,7 @@ def run(
     if observer is not None:
         observer(state)
     for _ in range(cfg.generations):
-        state = evolve_generation(state, cfg, scorer, sig_scorer, inventory, rng)
+        state = evolve_generation(state, cfg, inventory, rng)
         if observer is not None:
             observer(state)
     return state

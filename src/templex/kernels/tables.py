@@ -34,12 +34,19 @@ token.
 magic and version header, the vocabulary in id order, then each column as a
 little-endian ``array`` block.  ``read_tables`` rejects a file whose header,
 lengths or values could not come from ``write_tables`` of valid tables,
-with the value rules ``read_arpa`` applies to ARPA text.
+with the value rules ``read_arpa`` applies to ARPA text.  It loads column
+by column: it checks the header's lengths against the file's size, then
+reads the vocabulary and each block in turn from the open file, and drops
+each block once its list or dict is built, so neither the whole file nor a
+second copy of a column is held beside the tables.  The tables keep lists
+and dicts rather than arrays, because the kernels index them on every query
+and an array makes a new object on each index.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
 import sys
 from array import array
@@ -257,46 +264,40 @@ def read_tables(path) -> ScorerTables:
     must come before its child, so every backoff walk ends).
     """
     with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < _HEADER.size:
-        raise MalformedTables(path, "shorter than the header")
-    magic, version, order, base, bos_state, eos_id, unk_log10, nvocab, nctx, nprobs, ntrans = (
-        _HEADER.unpack_from(data)
-    )
-    if magic != MAGIC:
-        raise MalformedTables(path, "not a templex tables file")
-    if version != VERSION:
-        raise MalformedTables(path, "format version %d, expected %d" % (version, VERSION))
-    if min(nvocab, nctx, nprobs, ntrans) < 0 or len(data) != _HEADER.size + nvocab + 8 * (
-        3 * nctx + 2 * nprobs + 2 * ntrans
-    ):
-        raise MalformedTables(path, "%d bytes, the header declares other lengths" % len(data))
-
-    at = _HEADER.size + nvocab
-    try:
-        text = data[_HEADER.size : at].decode("utf-8")
-    except UnicodeDecodeError:
-        raise MalformedTables(path, "vocabulary is not UTF-8") from None
+        size = os.fstat(fh.fileno()).st_size
+        if size < _HEADER.size:
+            raise MalformedTables(path, "shorter than the header")
+        magic, version, order, base, bos_state, eos_id, unk_log10, nvocab, nctx, nprobs, ntrans = (
+            _HEADER.unpack(fh.read(_HEADER.size))
+        )
+        if magic != MAGIC:
+            raise MalformedTables(path, "not a templex tables file")
+        if version != VERSION:
+            raise MalformedTables(path, "format version %d, expected %d" % (version, VERSION))
+        if min(nvocab, nctx, nprobs, ntrans) < 0 or size != _HEADER.size + nvocab + 8 * (
+            3 * nctx + 2 * nprobs + 2 * ntrans
+        ):
+            raise MalformedTables(path, "%d bytes, the header declares other lengths" % size)
+        try:
+            text = fh.read(nvocab).decode("utf-8")
+        except UnicodeDecodeError:
+            raise MalformedTables(path, "vocabulary is not UTF-8") from None
+        # each column is read as it is used, and dropped once its list or
+        # dict is built (keys first, then values: the order of the file)
+        blocks = (_read_block(fh, typecode, n) for typecode, n in _columns(nctx, nprobs, ntrans))
+        ctx_len = next(blocks).tolist()
+        parent = next(blocks).tolist()
+        backoff = next(blocks).tolist()
+        probs = dict(zip(next(blocks), next(blocks)))
+        trans = dict(zip(next(blocks), next(blocks)))
     words = text.split("\n") if base > 1 or text else []
     token_ids = dict(zip(words, range(len(words))))
-    view = memoryview(data)
-    columns = []
-    for typecode, n in _columns(nctx, nprobs, ntrans):
-        values = array(typecode)
-        values.frombytes(view[at : at + 8 * n])
-        if _SWAP:
-            values.byteswap()
-        columns.append(values.tolist())
-        at += 8 * n
-    ctx_len, parent, backoff, prob_keys, prob_values, trans_keys, trans_values = columns
-    probs = dict(zip(prob_keys, prob_values))
-    trans = dict(zip(trans_keys, trans_values))
 
     if order < 1 or base < 1 or len(words) != base - 1 or len(token_ids) != len(words):
         raise MalformedTables(path, "vocabulary does not match its header")
     if len(probs) != nprobs or len(trans) != ntrans:
         raise MalformedTables(path, "a key is stored twice")
-    if not (unk_log10 <= 0.0 and all(map((0.0).__ge__, prob_values))):
+    if not (unk_log10 <= 0.0 and all(map((0.0).__ge__, probs.values()))):
         raise MalformedTables(path, "a log probability is NaN or above 0")
     if not all(map(math.inf.__gt__, backoff)):
         raise MalformedTables(path, "a backoff weight is NaN or +inf")
@@ -305,7 +306,7 @@ def read_tables(path) -> ScorerTables:
         and ctx_len[0] == parent[0] == 0
         and min(parent) >= 0
         and all(map(int.__lt__, parent[1:], range(1, nctx)))
-        and (not trans_values or (min(trans_values) >= 1 and max(trans_values) < nctx))
+        and (not trans or (min(trans.values()) >= 1 and max(trans.values()) < nctx))
         and 0 <= bos_state < nctx
         and 0 <= eos_id < base
     ):
@@ -313,3 +314,12 @@ def read_tables(path) -> ScorerTables:
     return ScorerTables(
         order, base, token_ids, ctx_len, parent, backoff, probs, trans, unk_log10, bos_state, eos_id
     )
+
+
+def _read_block(fh, typecode: str, n: int) -> array:
+    """The next ``n`` little-endian values of ``typecode`` from ``fh``."""
+    values = array(typecode)
+    values.fromfile(fh, n)
+    if _SWAP:
+        values.byteswap()
+    return values

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import re
 from itertools import islice, repeat
-from typing import IO, Iterable
+from typing import IO, Iterable, Iterator
 
 from ..kernels.tables import ScorerTables, TableBuilder
 from .counts import LOG_FLOOR, UNK, NGram
@@ -44,6 +44,9 @@ def write_arpa(model: NGramModel, stream: IO[str]) -> ScorerTables:
     builder = TableBuilder(model.order, [g[0] for g in by_order[0] if g[0] != UNK])
 
     weights = []  # the backoff fields as read_arpa would parse them, section by section
+    # each distinct field text parsed once, so equal values share one float
+    # ("-0.0000" and "0.0000" are distinct texts: -0.0 stays -0.0)
+    parsed: dict[str, float] = {}
     stream.write("\\data\\\n")
     for k in range(1, model.order + 1):
         stream.write("ngram %d=%d\n" % (k, len(by_order[k - 1])))
@@ -53,15 +56,22 @@ def write_arpa(model: NGramModel, stream: IO[str]) -> ScorerTables:
         if k < model.order:
             bos = list(map("%.4f".__mod__, map(backoffs.get, grams, repeat(0.0))))
             stream.writelines(map("%s\t%s\t%s\n".__mod__, zip(lps, map(" ".join, grams), bos)))
-            weights.append(list(map(float, bos)))
+            weights.append(list(_parse(bos, parsed)))
         else:
             stream.writelines(map("%s\t%s\n".__mod__, zip(lps, map(" ".join, grams))))
-        builder.add_logprobs(grams, map(float, lps))
+        builder.add_logprobs(grams, _parse(lps, parsed))
     stream.write("\n\\end\\\n")
     for grams, section in zip(by_order, weights):
         builder.add_backoffs(grams, section)
     unk = logprobs.get((UNK,))
     return builder.tables(LOG_FLOOR if unk is None else float("%.4f" % unk))
+
+
+def _parse(texts: list[str], parsed: dict[str, float]) -> Iterator[float]:
+    """``float`` of each text, parsing each text not yet in ``parsed`` once."""
+    new = set(texts).difference(parsed)
+    parsed.update(zip(new, map(float, new)))
+    return map(parsed.__getitem__, texts)
 
 
 _NGRAM_HEADER_RE = re.compile(r"^ngram (\d+)=(\d+)$")

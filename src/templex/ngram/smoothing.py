@@ -106,24 +106,7 @@ def train_kn(counts: NGramCounts, discounts: Discounts) -> NGramModel:
 
     # Higher orders, bottom-up; lower-order probabilities are already final.
     for k in range(2, order + 1):
-        dk = discounts.for_order(k)
-        usedk = counts.used(k)
-        denom: dict[NGram, int] = {}
-        ctx_counts: dict[NGram, list[int]] = {}
-        for g, c in usedk.items():
-            h = g[:-1]
-            denom[h] = denom.get(h, 0) + c
-            ctx_counts.setdefault(h, []).append(c)
-        gamma: dict[NGram, float] = {
-            h: _seen_mass(cs, dk) / denom[h] for h, cs in ctx_counts.items()
-        }
-        for g, c in usedk.items():
-            h = g[:-1]
-            probs[g] = (
-                max(c - _discount_for(c, dk), 0.0) / denom[h]
-                + gamma[h] * probs[g[1:]]
-            )
-        bows.update(gamma)
+        bows.update(_add_order(probs, counts.used(k), discounts.for_order(k)))
 
     # Contexts of stored n-grams that were never themselves counted (only the
     # run of beginning-of-sentence symbols can do this) still need entries to
@@ -132,9 +115,36 @@ def train_kn(counts: NGramCounts, discounts: Discounts) -> NGramModel:
         if h not in probs:
             probs[h] = bows.get(h[:-1], 1.0) * probs[h[1:]]
 
-    logprobs = {g: math.log10(p) for g, p in probs.items()}
-    backoffs = {h: math.log10(b) for h, b in bows.items()}
-    return NGramModel(order, vocab, logprobs, backoffs, math.log10(unk_p))
+    # to log10 in place, so no second map of every gram is alive at once
+    for table in (probs, bows):
+        for g, p in table.items():
+            table[g] = math.log10(p)
+    return NGramModel(order, vocab, probs, bows, math.log10(unk_p))
+
+
+def _add_order(
+    probs: dict[NGram, float], usedk: dict[NGram, int], dk: tuple[float, float, float]
+) -> dict[NGram, float]:
+    """Store the probability of every order-k gram counted in ``usedk`` and
+    return the backoff weight gamma of each of their contexts.  The per-order
+    maps are local, so they are freed when the order is done."""
+    denom: dict[NGram, int] = {}
+    ctx_counts: dict[NGram, list[int]] = {}
+    for g, c in usedk.items():
+        h = g[:-1]
+        denom[h] = denom.get(h, 0) + c
+        ctx_counts.setdefault(h, []).append(c)
+    gamma: dict[NGram, float] = {
+        h: _seen_mass(cs, dk) / denom[h] for h, cs in ctx_counts.items()
+    }
+    del ctx_counts
+    for g, c in usedk.items():
+        h = g[:-1]
+        probs[g] = (
+            max(c - _discount_for(c, dk), 0.0) / denom[h]
+            + gamma[h] * probs[g[1:]]
+        )
+    return gamma
 
 
 def _seen_mass(cs, d: tuple[float, float, float]) -> float:

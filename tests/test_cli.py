@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -328,6 +329,21 @@ def test_failed_retrain_leaves_no_manifest(tmp_path, data_dir, monkeypatch, caps
     # the inventory was rewritten but the models were not: nothing to trust
     assert main(["generate", "--config", str(path)]) == 2
     assert "run train first" in capsys.readouterr().err
+
+
+def test_train_drops_the_token_model_before_the_signature_model(tmp_path, data_dir, monkeypatch):
+    models, alive = [], []  # weak references to the models, and which lived at each call
+    real = cli.train
+
+    def keeping(sequences, order):
+        alive.append([m() is not None for m in models])
+        model = real(sequences, order)
+        models.append(weakref.ref(model))
+        return model
+
+    monkeypatch.setattr(cli, "train", keeping)
+    assert main(["train", "--config", str(write_config(tmp_path, data_dir))]) == 0
+    assert alive == [[], [False]]
 
 
 def test_resolved_config_is_complete_key_value(tmp_path, data_dir):

@@ -267,6 +267,16 @@ def test_parse_inventory_accepts_a_gap_of_a_reserved_pos():
     assert t.items == ("the", "__<unk>__")
 
 
+def test_parse_inventory_shares_equal_strings():
+    a, b = parse_inventory_lines(["2\tNP\tthe cat", "1\tNP\tthe dog"]).templates
+    assert a.items[0] is b.items[0]
+    assert a.tag is b.tag
+
+
+def test_template_has_slots_and_no_dict():
+    assert not hasattr(Template(("the",), "NP"), "__dict__")
+
+
 def test_template_identity_ignores_count():
     a = Template(("the",), "NP", 1, ("DT",))
     b = Template(("the",), "NP", 7, ("DT",))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from templex.corpus import (
+    GAP_RE,
     AnnotatedSentence,
     AnnotatedToken,
     CountTable,
@@ -137,6 +138,17 @@ def test_factoring_preserves_tag_and_arity(desk_inventory, desk_table):
     for key, n in shapes_out.items():
         assert key in shapes_in and n <= shapes_in[key]
     assert out.total == desk_inventory.total
+
+
+def test_factored_inventory_has_one_gap_object_per_pos(desk_inventory, desk_table):
+    out = factor_inventory(desk_inventory, desk_table, FactorPolicy("absolute", 3))
+    objects = {}  # each gap's value -> the ids of its string objects
+    for t in out.templates:
+        for item in t.items:
+            if GAP_RE.match(item):
+                objects.setdefault(item, set()).add(id(item))
+    assert len(objects) > 1
+    assert all(len(ids) == 1 for ids in objects.values())
 
 
 def test_monotonicity_on_fixture(desk_inventory, desk_table):

@@ -504,7 +504,7 @@ def test_tournament_round_replays_documented_rng_contract(
     replay = random.Random()
     replay.setstate(rng.getstate())
 
-    got = tournament_round(state, cfg, token_lm3.scorer, sig_lm5.scorer, desk_factored_inventory, rng)
+    got = tournament_round(state, cfg, desk_factored_inventory, rng)
 
     idxs = replay.sample(range(len(state.population)), cfg.tournament_size)
     sample = [state.population[i] for i in idxs]
@@ -535,7 +535,7 @@ def test_tournament_output_sorted_and_capped(desk_factored_inventory, token_lm3,
     rng = random.Random(32)
     state = init_population(desk_factored_inventory, cfg, token_lm3.scorer, sig_lm5.scorer, rng)
     for _ in range(25):
-        out = tournament_round(state, cfg, token_lm3.scorer, sig_lm5.scorer, desk_factored_inventory, rng)
+        out = tournament_round(state, cfg, desk_factored_inventory, rng)
         assert len(out) <= cfg.nbest
         assert all(a.fitness >= b.fitness for a, b in zip(out, out[1:]))
 
@@ -553,7 +553,7 @@ def test_rejecting_junctions_produce_no_offspring(desk_factored_inventory, sig_l
     rng = random.Random(33)
     rejecting = rejecting_model(words).scorer
     state = init_population(desk_factored_inventory, cfg, rejecting, sig_lm5.scorer, rng)
-    out = tournament_round(state, cfg, rejecting, sig_lm5.scorer, desk_factored_inventory, rng)
+    out = tournament_round(state, cfg, desk_factored_inventory, rng)
     assert out == []
 
 
@@ -568,9 +568,7 @@ def test_generation_preserves_population_size(
         rng = random.Random(41)
         state = init_population(desk_factored_inventory, cfg, token_lm3.scorer, sig_lm5.scorer, rng)
         for _ in range(3):
-            state = evolve_generation(
-                state, cfg, token_lm3.scorer, sig_lm5.scorer, desk_factored_inventory, rng
-            )
+            state = evolve_generation(state, cfg, desk_factored_inventory, rng)
             assert len(state.population) == pop
 
 
@@ -580,9 +578,7 @@ def test_generation_keeps_fittest_parent(desk_factored_inventory, token_lm3, sig
     state = init_population(desk_factored_inventory, cfg, token_lm3.scorer, sig_lm5.scorer, rng)
     for _ in range(5):
         best_parent = max(state.population, key=lambda c: c.fitness)
-        state = evolve_generation(
-            state, cfg, token_lm3.scorer, sig_lm5.scorer, desk_factored_inventory, rng
-        )
+        state = evolve_generation(state, cfg, desk_factored_inventory, rng)
         assert best_parent in state.population
         assert max(c.fitness for c in state.population) >= best_parent.fitness
 
@@ -594,7 +590,7 @@ def test_generation_structure_is_parents_plus_offspring(
     rng = random.Random(43)
     state = init_population(desk_factored_inventory, cfg, token_lm3.scorer, sig_lm5.scorer, rng)
     parents = sorted(state.population, key=lambda c: -c.fitness)
-    nxt = evolve_generation(state, cfg, token_lm3.scorer, sig_lm5.scorer, desk_factored_inventory, rng)
+    nxt = evolve_generation(state, cfg, desk_factored_inventory, rng)
     # the fittest half of the parents comes first, in fitness order
     assert nxt.population[:8] == parents[:8]
 
@@ -606,7 +602,7 @@ def test_rejecting_model_falls_back_to_parents(desk_factored_inventory, sig_lm5)
     rejecting = rejecting_model(words).scorer
     state = init_population(desk_factored_inventory, cfg, rejecting, sig_lm5.scorer, rng)
     parents = sorted(state.population, key=lambda c: -c.fitness)
-    nxt = evolve_generation(state, cfg, rejecting, sig_lm5.scorer, desk_factored_inventory, rng)
+    nxt = evolve_generation(state, cfg, desk_factored_inventory, rng)
     assert nxt.generation == 1
     assert nxt.population == parents  # cap hit, population carried over whole
 

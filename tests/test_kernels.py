@@ -33,6 +33,7 @@ from templex.kernels.tables import (
 )
 from templex.ngram import BOS, NGramModel, read_arpa, read_arpa_file, train, write_arpa
 
+from helpers import float_bits
 from oracles import reference_tables
 
 HAVE_NATIVE = "native" in available_backends()
@@ -424,10 +425,6 @@ def scorer_tables(draw):
     )
 
 
-def float_bits(values):
-    return [struct.pack("<d", v) for v in values]
-
-
 @settings(max_examples=300, deadline=None)
 @given(tables=scorer_tables())
 def test_tables_file_round_trip(tmp_path_factory, tables):
@@ -471,13 +468,14 @@ def vocabulary_without_base(b, t):
     "damage, reason",
     [
         (lambda b, t: b[:-8], "the header declares other lengths"),
+        (lambda b, t: b[: len(b) // 2], "the header declares other lengths"),
         (lambda b, t: b + b"\0", "the header declares other lengths"),
         (lambda b, t: b[:20], "shorter than the header"),
         (lambda b, t: b"x" + b[1:], "not a templex tables file"),
         (lambda b, t: b[: len(MAGIC)] + struct.pack("<I", 99) + b[len(MAGIC) + 4 :], "format version 99"),
         (vocabulary_without_base, "vocabulary does not match its header"),
     ],
-    ids=["truncated", "extended", "header-cut", "magic", "version", "vocabulary-without-base"],
+    ids=["truncated", "cut-in-half", "extended", "header-cut", "magic", "version", "vocabulary-without-base"],
 )
 def test_read_tables_rejects_damaged_bytes(tmp_path, sig_lm5, damage, reason):
     path = tmp_path / "m.tables"
