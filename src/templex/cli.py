@@ -7,11 +7,14 @@ hash of the training-relevant settings (corpus bytes, factoring policy, model
 orders); ``generate`` refuses to run against artifacts trained under a
 different hash.  The manifest also records the sha256 of those five files,
 and ``generate`` checks them before it parses anything, so an artifact
-truncated or edited since ``train`` is an error, not a different run.  Every
-file is written to a temporary file beside it and then renamed into place,
-so none is left half-written, and the manifest is written last.  Every run
-writes its resolved configuration beside its outputs, and every output file
-is byte-reproducible from (corpus, config, seed).
+truncated or edited since ``train`` is an error, not a different run.
+``train`` hashes the settings before it parses the corpus and again before
+it writes the manifest, so a corpus edited while it runs is an error, not a
+manifest over artifacts of another corpus.  Every file is written to a
+temporary file beside it and then renamed into place, so none is left
+half-written, and the manifest is written last.  Every run writes its
+resolved configuration beside its outputs, and every output file is
+byte-reproducible from (corpus, config, seed).
 
 Exit codes: 0 success, 1 usage/config error, 2 data or manifest error.
 """
@@ -268,6 +271,9 @@ def _write_model(model, outdir: Path, arpa_name: str, tables_name: str) -> None:
 
 
 def cmd_train(cfg: RunConfig) -> int:
+    # hashed before parsing and again before the manifest is written, so a
+    # corpus edited while train runs is not recorded as what it trained on
+    hash_at_start = config_hash(cfg)
     try:
         sentences = parse_conll_file(cfg.corpus)
     except OSError as exc:
@@ -301,6 +307,10 @@ def cmd_train(cfg: RunConfig) -> int:
     except OSError as exc:
         raise DataError("cannot remove old manifest in %s: %s" % (outdir, exc)) from None
     _write_lines(outdir / INVENTORY_FILE, inventory_lines(inventory))
+    # the signature model reads only the tag sequences of the inventory
+    n_templates = len(inventory.templates)
+    sig_seqs = inventory.signature_sequences()
+    del inventory
     # One model at a time: the token model and its tables are written and
     # dropped before the signature model is trained.
     try:
@@ -308,25 +318,28 @@ def cmd_train(cfg: RunConfig) -> int:
         del token_seqs
         _write_model(token_lm, outdir, TOKEN_LM_FILE, TOKEN_TABLES_FILE)
         del token_lm
-        sig_lm = train(inventory.signature_sequences(), cfg.signature_lm_order)
+        sig_lm = train(sig_seqs, cfg.signature_lm_order)
+        del sig_seqs
         _write_model(sig_lm, outdir, SIGNATURE_LM_FILE, SIGNATURE_TABLES_FILE)
         digests = artifact_digests(outdir)
     except OSError as exc:
         raise DataError("cannot write models: %s" % exc) from None
+    if config_hash(cfg) != hash_at_start:
+        raise DataError("corpus %s changed while train ran; train again" % cfg.corpus)
     _write_lines(
         outdir / MANIFEST_FILE,
         [
-            "config_hash=%s" % config_hash(cfg),
+            "config_hash=%s" % hash_at_start,
             "sentences=%d" % n_sentences,
             "templates_raw=%d" % raw_unique,
-            "templates_factored=%d" % len(inventory.templates),
+            "templates_factored=%d" % n_templates,
         ]
         + ["%s=%s" % (DIGEST_KEY % name, digest) for name, digest in digests.items()],
     )
     _write_lines(outdir / RESOLVED_CONFIG_FILE, resolved_config_lines(cfg))
     print(
         "trained on %d sentences: %d templates (%d before factoring)"
-        % (n_sentences, len(inventory.templates), raw_unique)
+        % (n_sentences, n_templates, raw_unique)
     )
     print("wrote %s" % outdir)
     return 0

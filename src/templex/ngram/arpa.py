@@ -6,7 +6,10 @@ lines (no backoff field at the top order), then ``\\end\\``.  The reader also
 accepts files that omit zero backoffs, as external toolkits do.  Values are
 rendered with 4 decimals, so a write/read round trip preserves them to 1e-4.
 Output is sorted and fully deterministic.  The writer also compiles the
-scorer tables of what it wrote, which ``train`` stores beside the file.
+scorer tables of what it wrote, which ``train`` stores beside the file.  It
+formats, writes and parses back each section in blocks of ``BLOCK`` grams,
+so only one block's strings are alive at a time, beside the model and the
+tables being built; the block size changes neither the text nor the tables.
 """
 
 from __future__ import annotations
@@ -27,12 +30,19 @@ class MalformedArpa(ValueError):
         self.lineno = lineno
 
 
+# grams formatted, written and parsed back at a time
+BLOCK = 4096
+
+
 def write_arpa(model: NGramModel, stream: IO[str]) -> ScorerTables:
     """Write ``model`` as ARPA text and return the scorer tables of the text.
 
-    Each value is parsed back from the text written for it and fed to the
-    table builder in the order of the text, so the tables equal
-    ``build_tables(read_arpa(text))`` without reading the text again.
+    Each section is written in blocks of ``BLOCK`` grams.  A block's lines
+    are formatted and written, then each value is parsed back from the text
+    written for it and fed to the table builder in the order of the text;
+    only then is the next block formatted.  So the tables equal
+    ``build_tables(read_arpa(text))`` without reading the text again, and
+    no section's text is held whole.
     """
     by_order: list[list[NGram]] = [[] for _ in range(model.order)]
     for g in model.logprobs:
@@ -43,7 +53,10 @@ def write_arpa(model: NGramModel, stream: IO[str]) -> ScorerTables:
     # read_arpa's vocabulary: the unigrams, with <unk> as the OOV score
     builder = TableBuilder(model.order, [g[0] for g in by_order[0] if g[0] != UNK])
 
-    weights = []  # the backoff fields as read_arpa would parse them, section by section
+    # the backoff fields as read_arpa would parse them, section by section;
+    # the builder takes them after every log probability, as build_tables
+    # does, so that it numbers the contexts alike
+    weights: list[list[float]] = [[] for _ in range(model.order - 1)]
     # each distinct field text parsed once, so equal values share one float
     # ("-0.0000" and "0.0000" are distinct texts: -0.0 stays -0.0)
     parsed: dict[str, float] = {}
@@ -52,14 +65,16 @@ def write_arpa(model: NGramModel, stream: IO[str]) -> ScorerTables:
         stream.write("ngram %d=%d\n" % (k, len(by_order[k - 1])))
     for k, grams in enumerate(by_order, start=1):
         stream.write("\n\\%d-grams:\n" % k)
-        lps = list(map("%.4f".__mod__, map(logprobs.__getitem__, grams)))
-        if k < model.order:
-            bos = list(map("%.4f".__mod__, map(backoffs.get, grams, repeat(0.0))))
-            stream.writelines(map("%s\t%s\t%s\n".__mod__, zip(lps, map(" ".join, grams), bos)))
-            weights.append(list(_parse(bos, parsed)))
-        else:
-            stream.writelines(map("%s\t%s\n".__mod__, zip(lps, map(" ".join, grams))))
-        builder.add_logprobs(grams, _parse(lps, parsed))
+        for start in range(0, len(grams), BLOCK):
+            block = grams[start : start + BLOCK]
+            lps = list(map("%.4f".__mod__, map(logprobs.__getitem__, block)))
+            if k < model.order:
+                bos = list(map("%.4f".__mod__, map(backoffs.get, block, repeat(0.0))))
+                stream.writelines(map("%s\t%s\t%s\n".__mod__, zip(lps, map(" ".join, block), bos)))
+                weights[k - 1].extend(_parse(bos, parsed))
+            else:
+                stream.writelines(map("%s\t%s\n".__mod__, zip(lps, map(" ".join, block))))
+            builder.add_logprobs(block, _parse(lps, parsed))
     stream.write("\n\\end\\\n")
     for grams, section in zip(by_order, weights):
         builder.add_backoffs(grams, section)

@@ -8,10 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import float_bits
 from oracles import arpa_seq_logprob, read_arpa_table
-from templex.kernels import build_tables
+from templex.kernels import build_tables, write_tables
 from templex.ngram import (
     MalformedArpa,
     NGramModel,
+    arpa,
     read_arpa,
     read_arpa_file,
     train,
@@ -272,6 +273,30 @@ def assert_same_tables(got, want):
     assert float_bits(got.backoff) == float_bits(want.backoff)
     assert float_bits(got.probs.values()) == float_bits(map(want.probs.__getitem__, got.probs))
     assert float_bits([got.unk_log10]) == float_bits([want.unk_log10])
+
+
+def test_block_boundaries_do_not_change_the_writer_output(token_lm3, tmp_path, monkeypatch):
+    # prefix runs longer than a block, so a run is split across blocks
+    runs = {}
+    for g in token_lm3.logprobs:
+        runs[g[:-1]] = runs.get(g[:-1], 0) + 1
+    assert max(n for prefix, n in runs.items() if prefix) > 3
+
+    def written(block):
+        monkeypatch.setattr(arpa, "BLOCK", block)
+        buf = io.StringIO()
+        tables = write_arpa(token_lm3, buf)
+        write_tables(tables, tmp_path / "t.tables")
+        return buf.getvalue(), tables, (tmp_path / "t.tables").read_bytes()
+
+    default = arpa.BLOCK
+    text, tables, tables_bytes = written(default)
+    assert_same_tables(tables, build_tables(read_arpa(io.StringIO(text))))
+    for block in (1, 2, 3, default):
+        got_text, got_tables, got_bytes = written(block)
+        assert got_text == text
+        assert_same_tables(got_tables, tables)
+        assert got_bytes == tables_bytes
 
 
 def test_writer_keeps_the_sign_of_zero():

@@ -346,6 +346,44 @@ def test_train_drops_the_token_model_before_the_signature_model(tmp_path, data_d
     assert alive == [[], [False]]
 
 
+def test_train_drops_the_inventory_before_the_token_model(tmp_path, data_dir, monkeypatch):
+    inventories, alive = [], []  # weak references to the inventory, and which lived at each call
+    real_factor, real_train = cli.factor_inventory, cli.train
+
+    def factoring(*args):
+        inventory = real_factor(*args)
+        inventories.append(weakref.ref(inventory))
+        return inventory
+
+    def training(sequences, order):
+        alive.append([ref() is not None for ref in inventories])
+        return real_train(sequences, order)
+
+    monkeypatch.setattr(cli, "factor_inventory", factoring)
+    monkeypatch.setattr(cli, "train", training)
+    assert main(["train", "--config", str(write_config(tmp_path, data_dir))]) == 0
+    assert alive[0] == [False]
+
+
+def test_train_refuses_a_corpus_changed_while_it_ran(tmp_path, data_dir, monkeypatch, capsys):
+    corpus = tmp_path / "c.conll"
+    shutil.copy(data_dir / "desk.conll", corpus)
+    path = write_config(tmp_path, data_dir, corpus="c.conll")
+    assert main(["train", "--config", str(path)]) == 0
+    real = cli.train
+
+    def editing(sequences, order):
+        text = corpus.read_text(encoding="utf-8")
+        corpus.write_text(text + text.split("\n\n")[0] + "\n\n", encoding="utf-8")
+        return real(sequences, order)
+
+    monkeypatch.setattr(cli, "train", editing)
+    capsys.readouterr()
+    assert main(["train", "--config", str(path)]) == 2
+    assert "changed while train ran" in capsys.readouterr().err
+    assert not (tmp_path / "out" / cli.MANIFEST_FILE).exists()
+
+
 def test_resolved_config_is_complete_key_value(tmp_path, data_dir):
     path = write_config(tmp_path, data_dir)
     assert main(["train", "--config", str(path)]) == 0
