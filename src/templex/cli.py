@@ -262,11 +262,14 @@ def artifact_digests(outdir: Path) -> dict[str, str]:
     return digests
 
 
-def _write_model(model, outdir: Path, arpa_name: str, tables_name: str) -> None:
-    """Write ``model`` as ARPA text and its tables as the writer compiled them."""
-    with _replacing(outdir / arpa_name) as tmp:
-        tables = write_arpa_file(model, tmp)
-    with _replacing(outdir / tables_name) as tmp:
+def _write_arpa(model, path: Path):
+    """Write ``model`` as ARPA text; return the tables the writer compiled."""
+    with _replacing(path) as tmp:
+        return write_arpa_file(model, tmp)
+
+
+def _write_tables(tables, path: Path) -> None:
+    with _replacing(path) as tmp:
         write_tables(tables, tmp)
 
 
@@ -312,15 +315,20 @@ def cmd_train(cfg: RunConfig) -> int:
     sig_seqs = inventory.signature_sequences()
     del inventory
     # One model at a time: the token model and its tables are written and
-    # dropped before the signature model is trained.
+    # dropped before the signature model is trained.  Each model is dropped
+    # once its ARPA file is written, before its tables file is.
     try:
         token_lm = train(token_seqs, cfg.token_lm_order)
         del token_seqs
-        _write_model(token_lm, outdir, TOKEN_LM_FILE, TOKEN_TABLES_FILE)
+        tables = _write_arpa(token_lm, outdir / TOKEN_LM_FILE)
         del token_lm
+        _write_tables(tables, outdir / TOKEN_TABLES_FILE)
+        del tables
         sig_lm = train(sig_seqs, cfg.signature_lm_order)
         del sig_seqs
-        _write_model(sig_lm, outdir, SIGNATURE_LM_FILE, SIGNATURE_TABLES_FILE)
+        tables = _write_arpa(sig_lm, outdir / SIGNATURE_LM_FILE)
+        del sig_lm
+        _write_tables(tables, outdir / SIGNATURE_TABLES_FILE)
         digests = artifact_digests(outdir)
     except OSError as exc:
         raise DataError("cannot write models: %s" % exc) from None
@@ -407,7 +415,7 @@ def cmd_generate(cfg: RunConfig) -> int:
     except OSError as exc:
         raise DataError("cannot read models: %s" % exc) from None
     except MalformedTables as exc:
-        raise DataError("bad model file: %s" % exc) from None
+        raise DataError("bad model file: %s; retrain" % exc) from None
 
     try:
         result = run(cfg.ga, inventory, token_scorer, sig_scorer)

@@ -31,16 +31,26 @@ may carry) would otherwise make an order-1 model's state keep the last
 token.
 
 ``write_tables`` / ``read_tables`` store the tables in a binary file: a
-magic and version header, the vocabulary in id order, then each column as a
-little-endian ``array`` block.  ``read_tables`` rejects a file whose header,
-lengths or values could not come from ``write_tables`` of valid tables,
-with the value rules ``read_arpa`` applies to ARPA text.  It loads column
-by column: it checks the header's lengths against the file's size, then
-reads the vocabulary and each block in turn from the open file, and drops
-each block once its list or dict is built, so neither the whole file nor a
-second copy of a column is held beside the tables.  The tables keep lists
-and dicts rather than arrays, because the kernels index them on every query
-and an array makes a new object on each index.
+magic and version header, the vocabulary in id order, then little-endian
+``array`` blocks.  Each distinct log probability and each distinct backoff
+weight is stored once, in a block of 8-byte doubles in first-occurrence
+order; floats are equal when their 8 bytes are, so -0.0 and 0.0 stay apart.
+The ``probs`` values and the ``backoff`` column are 4-byte indexes into
+those blocks, and every other column is 8-byte ints.  A trained model's
+numbers are 4-decimal values, so far fewer are distinct than stored, and
+``read_tables`` gives equal numbers one float object, as the ARPA writer
+does at ``train``, and each context id one int object in ``parent`` and the
+``trans`` values.  It rejects a file whose header, lengths or values could
+not come from ``write_tables`` of valid tables, with the value rules
+``read_arpa`` applies to ARPA text; each value block is checked once, and
+each index or link column's range before it is gathered (a negative index
+would wrap in Python).  It loads block by block: it checks the header's
+lengths against the file's size, then reads the vocabulary and each block
+in turn from the open file, and drops each block once its list or dict is
+built, so neither the whole file nor a second copy of a column is held
+beside the tables.  The tables keep lists and dicts rather than arrays,
+because the kernels index them on every query and an array makes a new
+object on each index.
 """
 
 from __future__ import annotations
@@ -194,26 +204,44 @@ class MalformedTables(ValueError):
 
 
 MAGIC = b"templex-tables\n\0"
-VERSION = 1
+VERSION = 2
 # magic, version, order, base, bos_state, eos_id, unk_log10, then the byte
-# length of the vocabulary and the number of contexts, probs and trans
-_HEADER = struct.Struct("<16sI4qd4q")
-_INT, _FLOAT = "q", "d"  # 8-byte signed int, 8-byte IEEE double
+# length of the vocabulary, the number of contexts, probs and trans, and the
+# number of distinct log probabilities and of distinct backoff weights
+_HEADER = struct.Struct("<16sI4qd6q")
+# 8-byte signed int, 8-byte IEEE double, 4-byte unsigned index into a value block
+_INT, _FLOAT, _INDEX = "q", "d", "I"
 _SWAP = sys.byteorder != "little"
 
 
-def _columns(nctx: int, nprobs: int, ntrans: int):
-    """(typecode, length) of each block after the vocabulary: ctx_len,
-    parent, backoff, probs keys and values, trans keys and values."""
+def _blocks(nctx: int, nprobs: int, ntrans: int, nlogprobs: int, nbackoffs: int):
+    """(typecode, length) of each block after the vocabulary: the distinct
+    log probabilities and backoff weights, then ctx_len, parent, the backoff
+    index of each context, probs keys and value indexes, trans keys and
+    values."""
     return (
+        (_FLOAT, nlogprobs),
+        (_FLOAT, nbackoffs),
         (_INT, nctx),
         (_INT, nctx),
-        (_FLOAT, nctx),
+        (_INDEX, nctx),
         (_INT, nprobs),
-        (_FLOAT, nprobs),
+        (_INDEX, nprobs),
         (_INT, ntrans),
         (_INT, ntrans),
     )
+
+
+def _distinct(values) -> tuple[array, array]:
+    """The distinct floats of ``values`` in first-occurrence order, and the
+    index of each value among them.  Floats are equal when their 8 bytes are,
+    so -0.0 and 0.0 stay apart."""
+    bits = array(_INT)
+    bits.frombytes(array(_FLOAT, values).tobytes())
+    first = {b: i for i, b in enumerate(dict.fromkeys(bits))}
+    distinct = array(_FLOAT)
+    distinct.frombytes(array(_INT, first).tobytes())
+    return distinct, array(_INDEX, map(first.__getitem__, bits))
 
 
 def write_tables(tables: ScorerTables, path) -> None:
@@ -222,6 +250,8 @@ def write_tables(tables: ScorerTables, path) -> None:
     if any("\n" in w for w in words):
         raise ValueError("a token contains a newline, which the vocabulary block cannot hold")
     vocab = "\n".join(words).encode("utf-8")
+    logprobs, prob_index = _distinct(tables.probs.values())
+    backoffs, backoff_index = _distinct(tables.backoff)
     header = _HEADER.pack(
         MAGIC,
         VERSION,
@@ -234,17 +264,21 @@ def write_tables(tables: ScorerTables, path) -> None:
         len(tables.ctx_len),
         len(tables.probs),
         len(tables.trans),
+        len(logprobs),
+        len(backoffs),
     )
     columns = (
+        logprobs,
+        backoffs,
         tables.ctx_len,
         tables.parent,
-        tables.backoff,
+        backoff_index,
         tables.probs.keys(),
-        tables.probs.values(),
+        prob_index,
         tables.trans.keys(),
         tables.trans.values(),
     )
-    layout = _columns(len(tables.ctx_len), len(tables.probs), len(tables.trans))
+    layout = _blocks(len(tables.ctx_len), len(tables.probs), len(tables.trans), len(logprobs), len(backoffs))
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(vocab)
@@ -260,60 +294,78 @@ def read_tables(path) -> ScorerTables:
 
     Raises MalformedTables for a wrong magic or version, a length that does
     not match the header, a NaN or positive log probability, a NaN or +inf
-    backoff weight, and context links that would leave the table (a parent
-    must come before its child, so every backoff walk ends).
+    backoff weight, an index past its value block, and context links that
+    would leave the table (a parent must come before its child, so every
+    backoff walk ends).  Equal numbers share one float object, and each
+    context id is one int object in ``parent`` and the ``trans`` values.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         if size < _HEADER.size:
             raise MalformedTables(path, "shorter than the header")
-        magic, version, order, base, bos_state, eos_id, unk_log10, nvocab, nctx, nprobs, ntrans = (
-            _HEADER.unpack(fh.read(_HEADER.size))
-        )
+        fields = _HEADER.unpack(fh.read(_HEADER.size))
+        magic, version, order, base, bos_state, eos_id, unk_log10 = fields[:7]
+        nvocab, nctx, nprobs, ntrans, nlogprobs, nbackoffs = fields[7:]
         if magic != MAGIC:
             raise MalformedTables(path, "not a templex tables file")
         if version != VERSION:
             raise MalformedTables(path, "format version %d, expected %d" % (version, VERSION))
-        if min(nvocab, nctx, nprobs, ntrans) < 0 or size != _HEADER.size + nvocab + 8 * (
-            3 * nctx + 2 * nprobs + 2 * ntrans
+        layout = _blocks(nctx, nprobs, ntrans, nlogprobs, nbackoffs)
+        if min(nvocab, nctx, nprobs, ntrans, nlogprobs, nbackoffs) < 0 or size != (
+            _HEADER.size + nvocab + sum(array(typecode).itemsize * n for typecode, n in layout)
         ):
             raise MalformedTables(path, "%d bytes, the header declares other lengths" % size)
         try:
             text = fh.read(nvocab).decode("utf-8")
         except UnicodeDecodeError:
             raise MalformedTables(path, "vocabulary is not UTF-8") from None
-        # each column is read as it is used, and dropped once its list or
+        words = text.split("\n") if base > 1 or text else []
+        token_ids = dict(zip(words, range(len(words))))
+        if order < 1 or base < 1 or len(words) != base - 1 or len(token_ids) != len(words):
+            raise MalformedTables(path, "vocabulary does not match its header")
+        # each block is read as it is used, and dropped once its list or
         # dict is built (keys first, then values: the order of the file)
-        blocks = (_read_block(fh, typecode, n) for typecode, n in _columns(nctx, nprobs, ntrans))
+        blocks = (_read_block(fh, typecode, n) for typecode, n in layout)
+        logprobs = next(blocks).tolist()
+        if not (unk_log10 <= 0.0 and all(map((0.0).__ge__, logprobs))):
+            raise MalformedTables(path, "a log probability is NaN or above 0")
+        backoffs = next(blocks).tolist()
+        if not all(map(math.inf.__gt__, backoffs)):
+            raise MalformedTables(path, "a backoff weight is NaN or +inf")
         ctx_len = next(blocks).tolist()
-        parent = next(blocks).tolist()
-        backoff = next(blocks).tolist()
-        probs = dict(zip(next(blocks), next(blocks)))
-        trans = dict(zip(next(blocks), next(blocks)))
-    words = text.split("\n") if base > 1 or text else []
-    token_ids = dict(zip(words, range(len(words))))
-
-    if order < 1 or base < 1 or len(words) != base - 1 or len(token_ids) != len(words):
-        raise MalformedTables(path, "vocabulary does not match its header")
+        links = next(blocks)
+        if not (
+            nctx >= 1
+            and ctx_len[0] == links[0] == 0
+            and min(links) >= 0
+            and all(map(int.__lt__, links[1:], range(1, nctx)))
+            and 0 <= bos_state < nctx
+            and 0 <= eos_id < base
+        ):
+            raise MalformedTables(path, "a context link points outside the table")
+        ids = list(range(nctx))  # the one int object of each context id
+        parent = list(map(ids.__getitem__, links))
+        del links
+        backoff = list(_gather(path, backoffs, next(blocks)))
+        probs = dict(zip(next(blocks), _gather(path, logprobs, next(blocks))))
+        keys, targets = next(blocks), next(blocks)
+        if targets and not (min(targets) >= 1 and max(targets) < nctx):
+            raise MalformedTables(path, "a context link points outside the table")
+        trans = dict(zip(keys, map(ids.__getitem__, targets)))
     if len(probs) != nprobs or len(trans) != ntrans:
         raise MalformedTables(path, "a key is stored twice")
-    if not (unk_log10 <= 0.0 and all(map((0.0).__ge__, probs.values()))):
-        raise MalformedTables(path, "a log probability is NaN or above 0")
-    if not all(map(math.inf.__gt__, backoff)):
-        raise MalformedTables(path, "a backoff weight is NaN or +inf")
-    if not (
-        nctx >= 1
-        and ctx_len[0] == parent[0] == 0
-        and min(parent) >= 0
-        and all(map(int.__lt__, parent[1:], range(1, nctx)))
-        and (not trans or (min(trans.values()) >= 1 and max(trans.values()) < nctx))
-        and 0 <= bos_state < nctx
-        and 0 <= eos_id < base
-    ):
-        raise MalformedTables(path, "a context link points outside the table")
     return ScorerTables(
         order, base, token_ids, ctx_len, parent, backoff, probs, trans, unk_log10, bos_state, eos_id
     )
+
+
+def _gather(path, values: list, index: array):
+    """The value each index names, once every index is checked to fall
+    inside ``values`` (a negative one cannot occur: the indexes are
+    unsigned)."""
+    if index and max(index) >= len(values):
+        raise MalformedTables(path, "a value index points past its block")
+    return map(values.__getitem__, index)
 
 
 def _read_block(fh, typecode: str, n: int) -> array:

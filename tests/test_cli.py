@@ -4,6 +4,7 @@ import gc
 import hashlib
 import os
 import shutil
+import struct
 import subprocess
 import sys
 import weakref
@@ -25,6 +26,7 @@ from templex.cli import (
 )
 from templex.ga import GAConfig
 from templex.kernels import build_tables, read_tables, write_tables
+from templex.kernels.tables import MAGIC
 from templex.ngram import read_arpa_file
 
 CHECKOUT = Path(__file__).resolve().parent.parent
@@ -346,6 +348,25 @@ def test_train_drops_the_token_model_before_the_signature_model(tmp_path, data_d
     assert alive == [[], [False]]
 
 
+def test_train_drops_each_model_before_writing_its_tables(tmp_path, data_dir, monkeypatch):
+    models, alive = [], []  # weak references to the models, and which lived at each write
+    real_train, real_write = cli.train, cli.write_tables
+
+    def training(sequences, order):
+        model = real_train(sequences, order)
+        models.append(weakref.ref(model))
+        return model
+
+    def writing(tables, path):
+        alive.append([m() is not None for m in models])
+        real_write(tables, path)
+
+    monkeypatch.setattr(cli, "train", training)
+    monkeypatch.setattr(cli, "write_tables", writing)
+    assert main(["train", "--config", str(write_config(tmp_path, data_dir))]) == 0
+    assert alive == [[False], [False, False]]
+
+
 def test_train_drops_the_inventory_before_the_token_model(tmp_path, data_dir, monkeypatch):
     inventories, alive = [], []  # weak references to the inventory, and which lived at each call
     real_factor, real_train = cli.factor_inventory, cli.train
@@ -528,7 +549,19 @@ def test_generate_out_of_range_logprob_exits_2(tmp_path, data_dir, capsys):
     capsys.readouterr()
     assert main(["generate", "--config", str(path)]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert err == ["error: bad model file: %s: a log probability is NaN or above 0" % target]
+    assert err == ["error: bad model file: %s: a log probability is NaN or above 0; retrain" % target]
+
+
+def test_generate_asks_for_a_retrain_on_an_old_tables_format(tmp_path, data_dir, capsys):
+    path = trained_config(tmp_path, data_dir)
+    target = tmp_path / "out" / cli.TOKEN_TABLES_FILE
+    data = target.read_bytes()
+    target.write_bytes(data[: len(MAGIC)] + struct.pack("<I", 1) + data[len(MAGIC) + 4 :])
+    reseal(tmp_path / "out")
+    capsys.readouterr()
+    assert main(["generate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: bad model file: %s: format version 1, expected 2; retrain" % target]
 
 
 def set_unigram_backoffs(arpa, value):
@@ -593,6 +626,26 @@ def test_generate_without_recorded_digests_exits_2(tmp_path, data_dir, capsys):
     assert main(["generate", "--config", str(path)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "records no sha256" in err[0] and "retrain" in err[0], err
+
+
+# sha256 of the tables files train writes of tests/data/desk.conll under
+# the settings below, the same on every Python the CI matrix runs (checked
+# on 3.10 to 3.13); perfbench's reference digests cover no tables file
+DESK_TABLES_SHA256 = {
+    cli.TOKEN_TABLES_FILE: "c66973b00c2d5701b2b242f009e510353e53ad5f0f11ea5d1473b3a6d01f074b",
+    cli.SIGNATURE_TABLES_FILE: "8368d52b0e0a670eb664b193907cace914b86bda1298cda723c75cdfd7a9273e",
+}
+
+
+def test_tables_files_are_pinned(tmp_path, data_dir):
+    path = write_config(
+        tmp_path,
+        data_dir,
+        **{"factor.mode": "absolute", "factor.threshold": "2", "token_lm_order": "3", "signature_lm_order": "5"},
+    )
+    assert main(["train", "--config", str(path)]) == 0
+    got = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() for name in DESK_TABLES_SHA256}
+    assert got == DESK_TABLES_SHA256
 
 
 def test_train_compiles_the_tables_of_its_arpa_files(tmp_path, data_dir):

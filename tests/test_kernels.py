@@ -8,6 +8,8 @@ import random
 import struct
 import subprocess
 import sys
+from array import array
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -25,6 +27,7 @@ from templex.kernels import (
 from templex.kernels.tables import (
     _HEADER,
     MAGIC,
+    _blocks,
     MalformedTables,
     ScorerTables,
     build_tables,
@@ -409,14 +412,19 @@ def scorer_tables(draw):
     base = len(words) + 1
     n = draw(st.integers(1, 10))
     key = st.integers(-(2**63), 2**63 - 1)
-    logprob = st.floats(max_value=0.0)
+    # a few fixed values, so that equal numbers (and zeros of both signs)
+    # recur within one table, as they do in a trained model
+    logprob = st.one_of(st.sampled_from((0.0, -0.0, -1.5, -math.inf)), st.floats(max_value=0.0))
+    weight = st.one_of(
+        st.sampled_from((0.0, -0.0, 2.5, -math.inf)), st.floats(allow_nan=False, max_value=1e300)
+    )
     return ScorerTables(
         order=order,
         base=base,
         token_ids=dict(zip(words, range(len(words)))),
         ctx_len=[0] + draw(st.lists(st.integers(0, 2**40), min_size=n - 1, max_size=n - 1)),
         parent=[0] + [draw(st.integers(0, c - 1)) for c in range(1, n)],
-        backoff=draw(st.lists(st.floats(allow_nan=False, max_value=1e300), min_size=n, max_size=n)),
+        backoff=draw(st.lists(weight, min_size=n, max_size=n)),
         probs=draw(st.dictionaries(key, logprob, max_size=20)),
         trans=draw(st.dictionaries(key, st.integers(1, n - 1), max_size=20)) if n > 1 else {},
         unk_log10=draw(logprob),
@@ -431,11 +439,42 @@ def test_tables_file_round_trip(tmp_path_factory, tables):
     path = tmp_path_factory.mktemp("tables") / "m.tables"
     write_tables(tables, path)
     got = read_tables(path)
+    # == takes -0.0 for 0.0, so every float is also compared bit for bit
     assert got == tables
     assert list(got.token_ids) == list(tables.token_ids)
+    assert list(got.probs) == list(tables.probs)
     assert float_bits(got.backoff) == float_bits(tables.backoff)
     assert float_bits(got.probs.values()) == float_bits(tables.probs.values())
     assert float_bits([got.unk_log10]) == float_bits([tables.unk_log10])
+    assert_shared(got)
+
+
+def assert_shared(tables):
+    """``probs`` and ``backoff`` each hold one float object per distinct bit
+    pattern, and ``parent`` and the ``trans`` values one int object per
+    context id."""
+    for values in (list(tables.probs.values()), tables.backoff):
+        assert len({id(v) for v in values}) == len(set(float_bits(values)))
+    first = {}
+    for c in tables.parent + list(tables.trans.values()):
+        assert first.setdefault(c, id(c)) == id(c), c
+
+
+def test_loaded_tables_share_equal_numbers(tmp_path):
+    """The tables train stores of an order-4 model on 40 words: thousands
+    of contexts, ids above the interpreter's small-int cache that recur as
+    parents, and far fewer distinct 4-decimal numbers than entries."""
+    rng = random.Random(7)
+    words = ["w%d" % i for i in range(40)]
+    model = train([[rng.choice(words) for _ in range(rng.randrange(3, 12))] for _ in range(600)], 4)
+    tables = write_arpa(model, io.StringIO())
+    path = tmp_path / "m.tables"
+    write_tables(tables, path)
+    got = read_tables(path)
+    assert got == tables
+    assert_shared(got)
+    assert len(set(got.probs.values())) < len(got.probs) // 2
+    assert max(c for c, n in Counter(got.parent).items() if n > 1) > 256
 
 
 def test_scorer_on_loaded_tables_matches_the_model(tmp_path, token_lm3, sig_lm5):
@@ -464,6 +503,29 @@ def vocabulary_without_base(b, t):
     return _HEADER.pack(*fields) + b"hello\nworld" + b[_HEADER.size + nvocab :]
 
 
+def overwrite(block, fmt, value, item=0):
+    """Damage that overwrites item ``item`` (negative counts from the end)
+    of block ``block`` of the layout with ``value`` packed as ``fmt``; a
+    value given as a function of the header's fields is computed from them."""
+
+    def damage(b, t):
+        fields = _HEADER.unpack_from(b)
+        offset = _HEADER.size + fields[7]
+        layout = _blocks(*fields[8:])
+        for typecode, n in layout[:block]:
+            offset += array(typecode).itemsize * n
+        typecode, n = layout[block]
+        at = offset + array(typecode).itemsize * (item % n)
+        packed = struct.pack(fmt, value(fields) if callable(value) else value)
+        return b[:at] + packed + b[at + len(packed) :]
+
+    return damage
+
+
+# blocks of the layout, in file order (see _blocks)
+LOGPROBS, BACKOFFS, CTX_LEN, PARENT, BACKOFF_INDEX, PROBS_KEYS, PROBS_INDEX = range(7)
+
+
 @pytest.mark.parametrize(
     "damage, reason",
     [
@@ -474,8 +536,30 @@ def vocabulary_without_base(b, t):
         (lambda b, t: b"x" + b[1:], "not a templex tables file"),
         (lambda b, t: b[: len(MAGIC)] + struct.pack("<I", 99) + b[len(MAGIC) + 4 :], "format version 99"),
         (vocabulary_without_base, "vocabulary does not match its header"),
+        (overwrite(PROBS_INDEX, "<I", lambda f: f[11]), "a value index points past its block"),
+        (overwrite(PROBS_INDEX, "<I", 2**32 - 1, -1), "a value index points past its block"),
+        (overwrite(BACKOFF_INDEX, "<I", lambda f: f[12], -1), "a value index points past its block"),
+        (overwrite(PARENT, "<q", -1, -1), "context link"),
+        (overwrite(LOGPROBS, "<d", math.nan, -1), "log probability is NaN or above 0"),
+        (overwrite(LOGPROBS, "<d", 0.5), "log probability is NaN or above 0"),
+        (overwrite(BACKOFFS, "<d", math.inf, -1), "backoff weight is NaN or \\+inf"),
     ],
-    ids=["truncated", "cut-in-half", "extended", "header-cut", "magic", "version", "vocabulary-without-base"],
+    ids=[
+        "truncated",
+        "cut-in-half",
+        "extended",
+        "header-cut",
+        "magic",
+        "version",
+        "vocabulary-without-base",
+        "prob-index-past-block",
+        "prob-index-all-ones",
+        "backoff-index-past-block",
+        "negative-parent",
+        "nan-logprob-block",
+        "positive-logprob-block",
+        "inf-backoff-block",
+    ],
 )
 def test_read_tables_rejects_damaged_bytes(tmp_path, sig_lm5, damage, reason):
     path = tmp_path / "m.tables"
@@ -502,6 +586,10 @@ def test_read_tables_rejects_damaged_bytes(tmp_path, sig_lm5, damage, reason):
         (lambda t: {"eos_id": t.base}, "context link"),
         (lambda t: {"base": t.base + 1}, "vocabulary does not match"),
         (lambda t: {"order": 0}, "vocabulary does not match"),
+        # one bad number shared by every entry: the value block holds it once
+        (lambda t: {"probs": dict.fromkeys(t.probs, math.nan)}, "log probability is NaN or above 0"),
+        (lambda t: {"probs": dict.fromkeys(t.probs, 0.5)}, "log probability is NaN or above 0"),
+        (lambda t: {"backoff": [math.inf] * len(t.backoff)}, "backoff weight is NaN or \\+inf"),
     ],
 )
 def test_read_tables_rejects_values_read_arpa_would_reject(tmp_path, sig_lm5, change, reason):
