@@ -1,7 +1,13 @@
-"""Scoring kernels: compiled extension when available, pure Python otherwise.
+"""Scoring kernels over the packed tables of ``tables.py``.
 
-The backend is chosen at import time; set ``TEMPLEX_KERNEL=python`` (or
-``native``) to force one, e.g. for the backend-comparison benchmark.
+Only the pure-Python kernel, ``pykernel.PyScorer``, is built.  The
+``_native`` import is the slot a compiled kernel fills: a module
+``templex.kernels._native`` whose ``NativeScorer`` has the same methods and
+returns bit-identical results.  The backend is chosen at import time;
+``TEMPLEX_KERNEL`` names one, and ``python`` is the only name until such a
+module is built.  The kernels read the tables' ``parent``, ``backoff``,
+``probs`` and ``trans`` (the file stores these and the vocabulary), and
+their ``eos_id`` and ``bos_state``, which are worked out at load.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from .tables import MalformedTables, ScorerTables, build_tables, read_tables, wr
 
 try:
     from ._native import NativeScorer
-except ImportError:  # extension not built; fall back
+except ImportError:  # no compiled kernel is built
     NativeScorer = None
 
 _KERNELS = {"python": PyScorer}

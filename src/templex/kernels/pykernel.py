@@ -1,7 +1,9 @@
-"""Pure-Python scoring kernel; the fallback when the extension is not built.
+"""The pure-Python scoring kernel, the only one built.
 
-Implements exactly the same walks as the native kernel, over the same packed
-tables, so both backends return bit-identical results.
+It walks the packed tables of ``tables.py``: ``parent``, ``backoff``,
+``probs`` and ``trans`` as stored in the file, and ``eos_id`` and
+``bos_state`` as worked out when the tables are made or loaded.  A compiled
+kernel in the ``_native`` slot must return bit-identical results.
 """
 
 from __future__ import annotations
@@ -44,12 +46,12 @@ class PyScorer:
 
     def advance(self, state: int, tid: int) -> int:
         """State after consuming tid: the longest stored context that ends
-        the history, at most order - 1 tokens long."""
+        the history, at most order - 1 tokens long.  No context of order - 1
+        tokens is ever extended, so from one the first lookup misses and the
+        walk backs off as from any other."""
         t = self.t
         parent = t.parent
         u = state
-        while u != 0 and t.ctx_len[u] >= t.order - 1:
-            u = parent[u]
         while True:
             nxt = t.trans.get(u * t.base + tid)
             if nxt is not None:

@@ -10,7 +10,12 @@ key on ``ctx_id * (V + 1) + token_id``:
   state advancement.
 
 ``parent[c]`` drops the leftmost token of context ``c`` (the backoff step)
-and ``backoff[c]`` is its log10 backoff weight.
+and ``backoff[c]`` is its log10 backoff weight.  A context's length is the
+number of parent steps to the empty context; no column holds it.  A state is
+the longest stored context that the next token can still extend (Heafield
+2011, "KenLM"), so no ``trans`` key leaves a context of order - 1 tokens.
+``eos_id`` and ``bos_state`` follow from the vocabulary and ``trans``, and
+every ``ScorerTables`` works them out when it is made, built or loaded.
 
 One builder makes the tables, ``TableBuilder``: the log probabilities are
 added first, then the backoff weights.  ``build_tables`` feeds it a model's
@@ -30,8 +35,9 @@ order - 1 tokens long, and a weight on a top-order gram (which an ARPA file
 may carry) would otherwise make an order-1 model's state keep the last
 token.
 
-``write_tables`` / ``read_tables`` store the tables in a binary file: a
-magic and version header, the vocabulary in id order, then little-endian
+``write_tables`` / ``read_tables`` store the tables in a binary file
+(format version 3): a header of magic, version, order, base, ``unk_log10``
+and the block lengths, the vocabulary in id order, then little-endian
 ``array`` blocks.  Each distinct log probability and each distinct backoff
 weight is stored once, in a block of 8-byte doubles in first-occurrence
 order; floats are equal when their 8 bytes are, so -0.0 and 0.0 stay apart.
@@ -60,7 +66,7 @@ import os
 import struct
 import sys
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..ngram.counts import BOS, EOS
 from .pykernel import PyScorer
@@ -71,14 +77,19 @@ class ScorerTables:
     order: int
     base: int  # V + 1; token ids run 0..V with V the OOV sentinel
     token_ids: dict[str, int]
-    ctx_len: list[int]
     parent: list[int]
     backoff: list[float]
     probs: dict[int, float]
     trans: dict[int, int]
     unk_log10: float
-    bos_state: int
-    eos_id: int
+    # derived, never stored: the id of the end symbol, and the state after
+    # the start padding (the longest stored suffix of order - 1 start symbols)
+    eos_id: int = field(init=False)
+    bos_state: int = field(init=False)
+
+    def __post_init__(self):
+        self.eos_id = self.encode(EOS)
+        self.bos_state = PyScorer(self).walk(0, [self.encode(BOS)] * (self.order - 1))
 
     def encode(self, token: str) -> int:
         return self.token_ids.get(token, self.base - 1)
@@ -96,7 +107,6 @@ class TableBuilder:
         self.order = order
         self.token_ids = {tok: i for i, tok in enumerate(sorted(vocab))}
         self.base = len(self.token_ids) + 1
-        self.ctx_len = [0]
         self.parent = [0]
         self.backoff = [0.0]
         self.probs: dict[int, float] = {}
@@ -122,10 +132,9 @@ class TableBuilder:
                 up = nxt
                 break
             chain.append(c)
-        ctx_len, backoff = self.ctx_len, self.backoff
+        backoff = self.backoff
         for c in reversed(chain):
-            nxt = trans[c * base + t] = len(ctx_len)
-            ctx_len.append(ctx_len[c] + 1)
+            nxt = trans[c * base + t] = len(parent)
             parent.append(up)
             backoff.append(0.0)
             up = nxt
@@ -170,23 +179,16 @@ class TableBuilder:
                 backoff[extend(c, t) if nxt is None else nxt] = w
 
     def tables(self, unk_log10: float) -> ScorerTables:
-        sentinel = self.base - 1
-        tables = ScorerTables(
+        return ScorerTables(
             order=self.order,
             base=self.base,
             token_ids=self.token_ids,
-            ctx_len=self.ctx_len,
             parent=self.parent,
             backoff=self.backoff,
             probs=self.probs,
             trans=self.trans,
             unk_log10=unk_log10,
-            bos_state=0,
-            eos_id=self.token_ids.get(EOS, sentinel),
         )
-        bos = self.token_ids.get(BOS, sentinel)
-        tables.bos_state = PyScorer(tables).walk(0, [bos] * (self.order - 1))
-        return tables
 
 
 def build_tables(model) -> ScorerTables:
@@ -204,11 +206,11 @@ class MalformedTables(ValueError):
 
 
 MAGIC = b"templex-tables\n\0"
-VERSION = 2
-# magic, version, order, base, bos_state, eos_id, unk_log10, then the byte
-# length of the vocabulary, the number of contexts, probs and trans, and the
-# number of distinct log probabilities and of distinct backoff weights
-_HEADER = struct.Struct("<16sI4qd6q")
+VERSION = 3
+# magic, version, order, base, unk_log10, then the byte length of the
+# vocabulary, the number of contexts, probs and trans, and the number of
+# distinct log probabilities and of distinct backoff weights
+_HEADER = struct.Struct("<16sI2qd6q")
 # 8-byte signed int, 8-byte IEEE double, 4-byte unsigned index into a value block
 _INT, _FLOAT, _INDEX = "q", "d", "I"
 _SWAP = sys.byteorder != "little"
@@ -216,13 +218,11 @@ _SWAP = sys.byteorder != "little"
 
 def _blocks(nctx: int, nprobs: int, ntrans: int, nlogprobs: int, nbackoffs: int):
     """(typecode, length) of each block after the vocabulary: the distinct
-    log probabilities and backoff weights, then ctx_len, parent, the backoff
-    index of each context, probs keys and value indexes, trans keys and
-    values."""
+    log probabilities and backoff weights, then parent, the backoff index of
+    each context, probs keys and value indexes, trans keys and values."""
     return (
         (_FLOAT, nlogprobs),
         (_FLOAT, nbackoffs),
-        (_INT, nctx),
         (_INT, nctx),
         (_INDEX, nctx),
         (_INT, nprobs),
@@ -257,11 +257,9 @@ def write_tables(tables: ScorerTables, path) -> None:
         VERSION,
         tables.order,
         tables.base,
-        tables.bos_state,
-        tables.eos_id,
         tables.unk_log10,
         len(vocab),
-        len(tables.ctx_len),
+        len(tables.parent),
         len(tables.probs),
         len(tables.trans),
         len(logprobs),
@@ -270,7 +268,6 @@ def write_tables(tables: ScorerTables, path) -> None:
     columns = (
         logprobs,
         backoffs,
-        tables.ctx_len,
         tables.parent,
         backoff_index,
         tables.probs.keys(),
@@ -278,7 +275,7 @@ def write_tables(tables: ScorerTables, path) -> None:
         tables.trans.keys(),
         tables.trans.values(),
     )
-    layout = _blocks(len(tables.ctx_len), len(tables.probs), len(tables.trans), len(logprobs), len(backoffs))
+    layout = _blocks(len(tables.parent), len(tables.probs), len(tables.trans), len(logprobs), len(backoffs))
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(vocab)
@@ -304,8 +301,8 @@ def read_tables(path) -> ScorerTables:
         if size < _HEADER.size:
             raise MalformedTables(path, "shorter than the header")
         fields = _HEADER.unpack(fh.read(_HEADER.size))
-        magic, version, order, base, bos_state, eos_id, unk_log10 = fields[:7]
-        nvocab, nctx, nprobs, ntrans, nlogprobs, nbackoffs = fields[7:]
+        magic, version, order, base, unk_log10 = fields[:5]
+        nvocab, nctx, nprobs, ntrans, nlogprobs, nbackoffs = fields[5:]
         if magic != MAGIC:
             raise MalformedTables(path, "not a templex tables file")
         if version != VERSION:
@@ -332,15 +329,12 @@ def read_tables(path) -> ScorerTables:
         backoffs = next(blocks).tolist()
         if not all(map(math.inf.__gt__, backoffs)):
             raise MalformedTables(path, "a backoff weight is NaN or +inf")
-        ctx_len = next(blocks).tolist()
         links = next(blocks)
         if not (
             nctx >= 1
-            and ctx_len[0] == links[0] == 0
+            and links[0] == 0
             and min(links) >= 0
             and all(map(int.__lt__, links[1:], range(1, nctx)))
-            and 0 <= bos_state < nctx
-            and 0 <= eos_id < base
         ):
             raise MalformedTables(path, "a context link points outside the table")
         ids = list(range(nctx))  # the one int object of each context id
@@ -354,9 +348,7 @@ def read_tables(path) -> ScorerTables:
         trans = dict(zip(keys, map(ids.__getitem__, targets)))
     if len(probs) != nprobs or len(trans) != ntrans:
         raise MalformedTables(path, "a key is stored twice")
-    return ScorerTables(
-        order, base, token_ids, ctx_len, parent, backoff, probs, trans, unk_log10, bos_state, eos_id
-    )
+    return ScorerTables(order, base, token_ids, parent, backoff, probs, trans, unk_log10)
 
 
 def _gather(path, values: list, index: array):

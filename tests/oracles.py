@@ -229,7 +229,6 @@ def reference_tables(model):
         order=model.order,
         base=base,
         token_ids=token_ids,
-        ctx_len=[len(c) for c in ordered],
         parent=[ctx_id[c[1:]] if c else 0 for c in ordered],
         backoff=[bows.get(c, 0.0) for c in ordered],
         probs={ctx_id[g[:-1]] * base + g[-1]: lp for g, lp in grams.items()},

@@ -552,16 +552,17 @@ def test_generate_out_of_range_logprob_exits_2(tmp_path, data_dir, capsys):
     assert err == ["error: bad model file: %s: a log probability is NaN or above 0; retrain" % target]
 
 
-def test_generate_asks_for_a_retrain_on_an_old_tables_format(tmp_path, data_dir, capsys):
+@pytest.mark.parametrize("version", [1, 2])
+def test_generate_asks_for_a_retrain_on_an_old_tables_format(tmp_path, data_dir, capsys, version):
     path = trained_config(tmp_path, data_dir)
     target = tmp_path / "out" / cli.TOKEN_TABLES_FILE
     data = target.read_bytes()
-    target.write_bytes(data[: len(MAGIC)] + struct.pack("<I", 1) + data[len(MAGIC) + 4 :])
+    target.write_bytes(data[: len(MAGIC)] + struct.pack("<I", version) + data[len(MAGIC) + 4 :])
     reseal(tmp_path / "out")
     capsys.readouterr()
     assert main(["generate", "--config", str(path)]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert err == ["error: bad model file: %s: format version 1, expected 2; retrain" % target]
+    assert err == ["error: bad model file: %s: format version %d, expected 3; retrain" % (target, version)]
 
 
 def set_unigram_backoffs(arpa, value):
@@ -632,8 +633,8 @@ def test_generate_without_recorded_digests_exits_2(tmp_path, data_dir, capsys):
 # the settings below, the same on every Python the CI matrix runs (checked
 # on 3.10 to 3.13); perfbench's reference digests cover no tables file
 DESK_TABLES_SHA256 = {
-    cli.TOKEN_TABLES_FILE: "c66973b00c2d5701b2b242f009e510353e53ad5f0f11ea5d1473b3a6d01f074b",
-    cli.SIGNATURE_TABLES_FILE: "8368d52b0e0a670eb664b193907cace914b86bda1298cda723c75cdfd7a9273e",
+    cli.TOKEN_TABLES_FILE: "c8c81034a3ce044669928bd8825b249cda4e6a2b1d1613ab98ac500593e13785",
+    cli.SIGNATURE_TABLES_FILE: "7e56d170a5a510f83ae5a9e07dc1fd69c8596cbfa8ff1b732b0795452c699b8e",
 }
 
 
@@ -852,8 +853,8 @@ def test_main_restores_the_callers_gc_state(tmp_path, monkeypatch, capsys, enabl
 def test_console_entry_point_installed(tmp_path):
     # Install this checkout into a prefix under tmp_path and run the launcher
     # that setuptools writes from [project.scripts]. `setup.py install` needs
-    # neither wheel nor a network. It runs on a copy, so the build (and
-    # cythonize, where Cython is present) writes nothing into the checkout.
+    # neither wheel nor a network. It runs on a copy, so the build writes
+    # nothing into the checkout.
     tree = tmp_path / "tree"
     tree.mkdir()
     for name in ("setup.py", "pyproject.toml"):

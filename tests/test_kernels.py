@@ -10,6 +10,7 @@ import subprocess
 import sys
 from array import array
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -112,24 +113,35 @@ def test_token_ids_follow_sorted_vocab(token_lm3):
         assert t.token_ids[w] == i
 
 
+def context_lengths(t):
+    """Each context's length: the number of parent steps to the empty
+    context.  Every parent has a lower id, so each chain ends."""
+    lengths = [0]
+    for c in range(1, len(t.parent)):
+        assert t.parent[c] < c, c
+        lengths.append(lengths[t.parent[c]] + 1)
+    return lengths
+
+
 def test_table_shapes_consistent(sig_lm5):
     t = build_tables(sig_lm5)
-    n = len(t.ctx_len)
+    ctx_len = context_lengths(t)
+    n = len(ctx_len)
     assert len(t.parent) == n and len(t.backoff) == n
-    assert t.ctx_len[0] == 0 and t.parent[0] == 0 and t.backoff[0] == 0.0
+    assert ctx_len[0] == 0 and t.parent[0] == 0 and t.backoff[0] == 0.0
     # parent always strictly shortens a nonempty context
     for c in range(1, n):
-        assert t.ctx_len[t.parent[c]] == t.ctx_len[c] - 1
+        assert ctx_len[t.parent[c]] == ctx_len[c] - 1
     # every trans target is one longer than its source
     base = t.base
     for key, dst in t.trans.items():
-        assert t.ctx_len[dst] == t.ctx_len[key // base] + 1
+        assert ctx_len[dst] == ctx_len[key // base] + 1
 
 
 def test_bos_state_reaches_full_padding(token_lm3):
     # internally trained models materialize the (<s>, <s>) context
     t = build_tables(token_lm3)
-    assert t.ctx_len[t.bos_state] == token_lm3.order - 1
+    assert context_lengths(t)[t.bos_state] == token_lm3.order - 1
     sc = make_scorer(token_lm3, "python")
     walked = sc.kernel.walk(0, sc.encode([BOS] * (token_lm3.order - 1)))
     assert walked == t.bos_state
@@ -140,7 +152,7 @@ def test_bos_state_backs_off_in_single_start_files(data_dir):
     # and the boundary state must settle on the longest stored suffix
     m = read_arpa_file(data_dir / "token_ref.arpa")
     t = build_tables(m)
-    assert t.ctx_len[t.bos_state] == 1
+    assert context_lengths(t)[t.bos_state] == 1
     bos_id = t.encode(BOS)
     root_step = t.trans[0 * t.base + bos_id]
     assert t.bos_state == root_step
@@ -149,10 +161,11 @@ def test_bos_state_backs_off_in_single_start_files(data_dir):
 def context_names(t):
     """Each context id's token ids, read back from the transition map."""
     base = t.base
+    ctx_len = context_lengths(t)
     names = {0: ()}
-    for key, dst in sorted(t.trans.items(), key=lambda kv: t.ctx_len[kv[1]]):
+    for key, dst in sorted(t.trans.items(), key=lambda kv: ctx_len[kv[1]]):
         names[dst] = names[key // base] + (key % base,)
-    assert len(names) == len(t.ctx_len) == len(t.trans) + 1  # one name each
+    assert len(names) == len(ctx_len) == len(t.trans) + 1  # one name each
     assert len(set(names.values())) == len(names)
     return names
 
@@ -168,7 +181,7 @@ def by_context(t):
         unk_log10=t.unk_log10,
         eos_id=t.eos_id,
         bos_state=names[t.bos_state],
-        ctx_len={names[c]: n for c, n in enumerate(t.ctx_len)},
+        ctx_len={names[c]: n for c, n in enumerate(context_lengths(t))},
         parent={names[c]: names[p] for c, p in enumerate(t.parent)},
         backoff={names[c]: w for c, w in enumerate(t.backoff)},
         probs={(names[k // base], k % base): lp for k, lp in t.probs.items()},
@@ -223,6 +236,34 @@ def pruned_models(draw):
 @given(model=pruned_models())
 def test_tables_match_the_reference_on_pruned_models(model):
     assert_tables_match_reference(model)
+
+
+def assert_no_transition_leaves_a_full_context(t):
+    """``advance`` relies on this: a context of order - 1 tokens is never
+    extended, so from one the first ``trans`` lookup misses and the walk
+    backs off to a context that can take the next token."""
+    ctx_len = context_lengths(t)
+    full = [key for key in t.trans if ctx_len[key // t.base] >= t.order - 1]
+    assert full == [], (t.order, full[:5])
+
+
+def test_no_transition_leaves_a_full_context(tmp_path, token_lm3, sig_lm5, desk_token_seqs, data_dir):
+    single_start = read_arpa_file(data_dir / "token_ref.arpa")
+    for model in (token_lm3, sig_lm5, train(desk_token_seqs, 1), single_start):
+        built = build_tables(model)
+        assert_no_transition_leaves_a_full_context(built)
+        # the loaded tables work out the boundary fields the builder's have
+        path = tmp_path / "m.tables"
+        write_tables(built, path)
+        loaded = read_tables(path)
+        assert (loaded.bos_state, loaded.eos_id) == (built.bos_state, built.eos_id), model.order
+        assert_no_transition_leaves_a_full_context(loaded)
+
+
+@settings(max_examples=200, deadline=None)
+@given(model=pruned_models())
+def test_no_transition_leaves_a_full_context_on_pruned_models(model):
+    assert_no_transition_leaves_a_full_context(build_tables(model))
 
 
 def test_tables_are_deterministic(token_lm3, sig_lm5):
@@ -298,7 +339,7 @@ def test_score_is_score_step_probability(token_lm3, sig_lm5, backend):
     rng = random.Random(4099)
     for model in (token_lm3, sig_lm5):
         sc = make_scorer(model, backend)
-        for state in range(len(sc.tables.ctx_len)):
+        for state in range(len(sc.tables.parent)):
             for tid in query_ids(sc.tables, rng, 6):
                 assert sc.kernel.score(state, tid) == sc.kernel.score_step(state, tid)[0], (
                     model.order, state, tid)
@@ -310,7 +351,7 @@ def test_score_bit_identical_across_backends(token_lm3, sig_lm5):
     for model in (token_lm3, sig_lm5):
         py = make_scorer(model, "python")
         nat = make_scorer(model, "native")
-        for state in range(len(py.tables.ctx_len)):
+        for state in range(len(py.tables.parent)):
             for tid in query_ids(py.tables, rng, 6):
                 assert py.kernel.score(state, tid) == nat.kernel.score(state, tid), (
                     model.order, state, tid)
@@ -422,14 +463,11 @@ def scorer_tables(draw):
         order=order,
         base=base,
         token_ids=dict(zip(words, range(len(words)))),
-        ctx_len=[0] + draw(st.lists(st.integers(0, 2**40), min_size=n - 1, max_size=n - 1)),
         parent=[0] + [draw(st.integers(0, c - 1)) for c in range(1, n)],
         backoff=draw(st.lists(weight, min_size=n, max_size=n)),
         probs=draw(st.dictionaries(key, logprob, max_size=20)),
         trans=draw(st.dictionaries(key, st.integers(1, n - 1), max_size=20)) if n > 1 else {},
         unk_log10=draw(logprob),
-        bos_state=draw(st.integers(0, n - 1)),
-        eos_id=draw(st.integers(0, base - 1)),
     )
 
 
@@ -491,15 +529,17 @@ def test_scorer_on_loaded_tables_matches_the_model(tmp_path, token_lm3, sig_lm5)
 
 
 def rewritten(tables, **changes):
-    return ScorerTables(**dict(vars(tables), **changes))
+    """A copy of ``tables`` with ``changes``; its derived fields are worked
+    out again."""
+    return replace(tables, **changes)
 
 
 def vocabulary_without_base(b, t):
     """The header says there is no vocabulary (base 1), but 11 bytes of one
     follow it."""
     fields = list(_HEADER.unpack_from(b))
-    nvocab = fields[7]
-    fields[3], fields[7] = 1, 11
+    nvocab = fields[5]
+    fields[3], fields[5] = 1, 11
     return _HEADER.pack(*fields) + b"hello\nworld" + b[_HEADER.size + nvocab :]
 
 
@@ -510,8 +550,8 @@ def overwrite(block, fmt, value, item=0):
 
     def damage(b, t):
         fields = _HEADER.unpack_from(b)
-        offset = _HEADER.size + fields[7]
-        layout = _blocks(*fields[8:])
+        offset = _HEADER.size + fields[5]
+        layout = _blocks(*fields[6:])
         for typecode, n in layout[:block]:
             offset += array(typecode).itemsize * n
         typecode, n = layout[block]
@@ -523,7 +563,7 @@ def overwrite(block, fmt, value, item=0):
 
 
 # blocks of the layout, in file order (see _blocks)
-LOGPROBS, BACKOFFS, CTX_LEN, PARENT, BACKOFF_INDEX, PROBS_KEYS, PROBS_INDEX = range(7)
+LOGPROBS, BACKOFFS, PARENT, BACKOFF_INDEX, PROBS_KEYS, PROBS_INDEX = range(6)
 
 
 @pytest.mark.parametrize(
@@ -536,9 +576,9 @@ LOGPROBS, BACKOFFS, CTX_LEN, PARENT, BACKOFF_INDEX, PROBS_KEYS, PROBS_INDEX = ra
         (lambda b, t: b"x" + b[1:], "not a templex tables file"),
         (lambda b, t: b[: len(MAGIC)] + struct.pack("<I", 99) + b[len(MAGIC) + 4 :], "format version 99"),
         (vocabulary_without_base, "vocabulary does not match its header"),
-        (overwrite(PROBS_INDEX, "<I", lambda f: f[11]), "a value index points past its block"),
+        (overwrite(PROBS_INDEX, "<I", lambda f: f[9]), "a value index points past its block"),
         (overwrite(PROBS_INDEX, "<I", 2**32 - 1, -1), "a value index points past its block"),
-        (overwrite(BACKOFF_INDEX, "<I", lambda f: f[12], -1), "a value index points past its block"),
+        (overwrite(BACKOFF_INDEX, "<I", lambda f: f[10], -1), "a value index points past its block"),
         (overwrite(PARENT, "<q", -1, -1), "context link"),
         (overwrite(LOGPROBS, "<d", math.nan, -1), "log probability is NaN or above 0"),
         (overwrite(LOGPROBS, "<d", 0.5), "log probability is NaN or above 0"),
@@ -581,9 +621,7 @@ def test_read_tables_rejects_damaged_bytes(tmp_path, sig_lm5, damage, reason):
         (lambda t: {"backoff": t.backoff[:-1] + [math.nan]}, "backoff weight is NaN or \\+inf"),
         (lambda t: {"parent": t.parent[:-1] + [len(t.parent) - 1]}, "context link"),
         (lambda t: {"parent": t.parent[:-1] + [-1]}, "context link"),
-        (lambda t: {"trans": t.trans | {0: len(t.ctx_len)}}, "context link"),
-        (lambda t: {"bos_state": len(t.ctx_len)}, "context link"),
-        (lambda t: {"eos_id": t.base}, "context link"),
+        (lambda t: {"trans": t.trans | {0: len(t.parent)}}, "context link"),
         (lambda t: {"base": t.base + 1}, "vocabulary does not match"),
         (lambda t: {"order": 0}, "vocabulary does not match"),
         # one bad number shared by every entry: the value block holds it once
