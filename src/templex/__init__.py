@@ -4,14 +4,13 @@ The package mines templates from chunk-annotated text, factors rare tokens
 into part-of-speech gaps, trains Kneser-Ney n-gram models over the factored
 token stream and over chunk-tag signatures, and runs a genetic search whose
 crossover is gated by the token model and whose fitness comes from the
-signature model.  Scoring runs on a compiled kernel when the extension is
-built, with a pure-Python fallback that produces identical numbers.
+signature model.  Scoring runs on one pure-Python kernel, over the scorer
+tables that train compiles from each model; no compiled extension is built.
 """
 
 from .corpus import (
     AnnotatedSentence,
     AnnotatedToken,
-    CountTable,
     IllegalBIO,
     MalformedLine,
     Template,
@@ -23,7 +22,7 @@ from .corpus import (
     parse_inventory_lines,
     token_counts,
 )
-from .factoring import FactorPolicy, factor_inventory, factor_token, factored_token_stream
+from .factoring import FactorPolicy, factor_inventory, factored_token_stream
 from .ga import (
     Chromosome,
     GAConfig,
@@ -60,7 +59,6 @@ __all__ = [
     "AnnotatedToken",
     "BOS",
     "Chromosome",
-    "CountTable",
     "EOS",
     "FactorPolicy",
     "GAConfig",
@@ -80,7 +78,6 @@ __all__ = [
     "crossover",
     "extract_templates",
     "factor_inventory",
-    "factor_token",
     "factored_token_stream",
     "fitness",
     "init_population",

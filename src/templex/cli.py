@@ -290,12 +290,12 @@ def cmd_train(cfg: RunConfig) -> int:
     inventory = extract_templates(sentences)
     raw_unique = len(inventory.templates)
     if cfg.policy is not None:
-        table = token_counts(sentences)
-        inventory = factor_inventory(inventory, table, cfg.policy)
-        token_seqs = factored_token_stream(sentences, table, cfg.policy)
-        del table
+        kept = cfg.policy.kept(token_counts(sentences))
+        inventory = factor_inventory(inventory, kept)
+        token_seqs = factored_token_stream(sentences, kept)
+        del kept
     else:
-        token_seqs = [[t.surface for t in s.tokens] for s in sentences]
+        token_seqs = [[t.surface for t in s] for s in sentences]
     del sentences  # the token stream and the inventory hold all that is left to use
 
     outdir = cfg.outdir

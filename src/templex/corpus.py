@@ -1,10 +1,10 @@
 """Chunk-annotated corpus ingestion.
 
 Reads 3-column CoNLL-2000-style text (``surface pos chunk``, blank line
-between sentences), extracts every maximal chunk span as a template, and
-computes the word-frequency table that factoring relies on.  Out-of-chunk
-(``O``) tokens become single-token templates with tag ``O`` so that each
-sentence is fully covered by its template sequence.
+between sentences) into sentences, each a tuple of tokens, extracts every
+maximal chunk span as a template, and counts the words that factoring
+decides on.  Out-of-chunk (``O``) tokens become single-token templates with
+tag ``O`` so that each sentence is fully covered by its template sequence.
 
 A template is a tuple of strings: words, and gaps written ``__POS__``
 (which factoring introduces).  The same strings go into ``inventory.tsv``
@@ -13,7 +13,6 @@ and into every chromosome surface, so no corpus word may have a gap's form.
 
 from __future__ import annotations
 
-import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -48,9 +47,7 @@ class AnnotatedToken(NamedTuple):
     chunk: str
 
 
-@dataclass(frozen=True)
-class AnnotatedSentence:
-    tokens: tuple[AnnotatedToken, ...]
+AnnotatedSentence = tuple[AnnotatedToken, ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -81,16 +78,11 @@ class TemplateInventory:
     """Unique templates with counts, plus each sentence's template sequence.
 
     ``sentence_sequences`` holds, per input sentence, the indices into
-    ``templates`` of the chunks covering it, in order.  ``total`` equals the
-    sum of all counts (one per chunk occurrence).
+    ``templates`` of the chunks covering it, in order.
     """
 
     templates: list[Template]
     sentence_sequences: list[tuple[int, ...]]
-    total: int
-
-    def index(self) -> dict[Template, int]:
-        return {t: i for i, t in enumerate(self.templates)}
 
     def signature_sequences(self) -> list[tuple[str, ...]]:
         """Chunk-tag sequence of every sentence (training data for the signature model)."""
@@ -98,31 +90,6 @@ class TemplateInventory:
             tuple(self.templates[i].tag for i in seq)
             for seq in self.sentence_sequences
         ]
-
-
-@dataclass
-class CountTable:
-    """Corpus word frequencies with a deterministic 1-based rank map.
-
-    Rank 1 is the most frequent word; ties are broken lexicographically.
-    Unseen words count as 0 and rank past the end of the vocabulary.
-    """
-
-    counts: dict[str, int]
-    ranks: dict[str, int]
-
-    @classmethod
-    def from_counts(cls, counts: dict[str, int]) -> "CountTable":
-        ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-        ranks = {word: i + 1 for i, (word, _) in enumerate(ordered)}
-        return cls(dict(counts), ranks)
-
-    def count(self, word: str) -> int:
-        return self.counts.get(word, 0)
-
-    def rank(self, word: str) -> float:
-        # Unseen words rank strictly beyond every possible threshold.
-        return self.ranks.get(word, math.inf)
 
 
 def parse_conll(lines: Iterable[str]) -> list[AnnotatedSentence]:
@@ -148,7 +115,7 @@ def parse_conll(lines: Iterable[str]) -> list[AnnotatedSentence]:
         line = raw.strip()
         if not line:
             if current:
-                sentences.append(AnnotatedSentence(tuple(current)))
+                sentences.append(tuple(current))
                 current = []
             prev_chunk = "O"
             continue
@@ -180,7 +147,7 @@ def parse_conll(lines: Iterable[str]) -> list[AnnotatedSentence]:
         current.append(AnnotatedToken(surface, pos, chunk))
         prev_chunk = chunk
     if current:
-        sentences.append(AnnotatedSentence(tuple(current)))
+        sentences.append(tuple(current))
     return sentences
 
 
@@ -193,7 +160,7 @@ def _chunks(sentence: AnnotatedSentence) -> Iterator[tuple[str, list[AnnotatedTo
     """Yield (tag, tokens) for each maximal B-X (I-X)* span and each O token."""
     span: list[AnnotatedToken] = []
     span_tag = ""
-    for tok in sentence.tokens:
+    for tok in sentence:
         if tok.chunk.startswith("I-"):
             span.append(tok)
             continue
@@ -229,15 +196,15 @@ def extract_templates(sentences: Iterable[AnnotatedSentence]) -> TemplateInvento
         sequences.append(tuple(seq))
     # dicts keep insertion order: one Template per key, in first-occurrence order
     templates = [Template(items, tag, c, pos) for (items, tag, pos), c in zip(index, counts)]
-    return TemplateInventory(templates, sequences, sum(counts))
+    return TemplateInventory(templates, sequences)
 
 
-def token_counts(sentences: Iterable[AnnotatedSentence]) -> CountTable:
+def token_counts(sentences: Iterable[AnnotatedSentence]) -> Counter[str]:
     """Surface-word frequencies over the whole corpus."""
     counter: Counter[str] = Counter()
     for sentence in sentences:
-        counter.update(t.surface for t in sentence.tokens)
-    return CountTable.from_counts(dict(counter))
+        counter.update(t.surface for t in sentence)
+    return counter
 
 
 def inventory_lines(inv: TemplateInventory) -> Iterator[str]:
@@ -266,7 +233,6 @@ def parse_inventory_lines(lines: Iterable[str]) -> TemplateInventory:
     legal).
     """
     templates: list[Template] = []
-    total = 0
     # each item and tag mapped to its first object, so equal strings are one
     seen: dict[str, str] = {}
     for lineno, raw in enumerate(lines, start=1):
@@ -292,5 +258,4 @@ def parse_inventory_lines(lines: Iterable[str]) -> TemplateInventory:
         if tag in RESERVED or not RESERVED.isdisjoint(items):
             raise MalformedLine(lineno, line, "tag or item is a reserved model symbol")
         templates.append(Template(items, seen.setdefault(tag, tag), count))
-        total += count
-    return TemplateInventory(templates, [], total)
+    return TemplateInventory(templates, [])

@@ -1,13 +1,14 @@
 """Template factoring: replace rare words with their POS gap.
 
-Two thresholding strategies, both strict comparisons:
+A policy decides once, from the corpus word counts, which words it keeps
+(``FactorPolicy.kept``); every other word, seen or not, gaps.  Two
+thresholding strategies:
 
-* absolute -- gap every word whose corpus count is below the threshold;
-* relative -- gap every word whose frequency rank is above the threshold
-  (rank 1 is the most frequent word, so numerically larger means rarer).
+* absolute -- keep every word whose corpus count is at least the threshold;
+* relative -- keep the ``threshold`` most frequent words, ties broken
+  lexicographically (every word whose frequency rank is at most the
+  threshold, rank 1 being the most frequent).
 
-Words missing from the count table gap under either strategy, so a policy
-is fixed, per table, by the set of table words it keeps (``FactorPolicy.kept``).
 A gapped word becomes the string ``__POS__`` of its corpus POS tag, so
 templates and the token stream stay plain strings.
 """
@@ -16,9 +17,9 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Mapping
 
-from .corpus import GAP_RE, AnnotatedSentence, CountTable, Template, TemplateInventory
+from .corpus import GAP_RE, AnnotatedSentence, Template, TemplateInventory
 
 ABSOLUTE = "absolute"
 RELATIVE = "relative"
@@ -35,21 +36,11 @@ class FactorPolicy:
         if self.threshold < 1:
             raise ValueError("threshold must be >= 1, got %d" % self.threshold)
 
-    def gaps(self, word: str, table: CountTable) -> bool:
+    def kept(self, counts: Mapping[str, int]) -> frozenset[str]:
+        """The counted words this policy does not gap; every other word gaps."""
         if self.mode == ABSOLUTE:
-            return table.count(word) < self.threshold
-        return table.rank(word) > self.threshold
-
-    def kept(self, table: CountTable) -> frozenset[str]:
-        """The table words this policy does not gap; every other word gaps."""
-        return frozenset(w for w in table.counts if not self.gaps(w, table))
-
-
-def factor_token(word: str, pos: str, table: CountTable, policy: FactorPolicy) -> str:
-    """The word itself, or its gap ``__POS__`` when the policy gaps it."""
-    if policy.gaps(word, table):
-        return "__%s__" % pos
-    return word
+            return frozenset(w for w, c in counts.items() if c >= self.threshold)
+        return frozenset(sorted(counts, key=lambda w: (-counts[w], w))[: self.threshold])
 
 
 def bare_factors(surface: str) -> str:
@@ -66,11 +57,8 @@ def _factor_template(t: Template, kept: frozenset[str]) -> tuple[str, ...]:
     )
 
 
-def factor_inventory(
-    inv: TemplateInventory, table: CountTable, policy: FactorPolicy
-) -> TemplateInventory:
-    """Factor every template, merging any that become identical."""
-    kept = policy.kept(table)
+def factor_inventory(inv: TemplateInventory, kept: frozenset[str]) -> TemplateInventory:
+    """Gap every word outside ``kept``, merging templates that become identical."""
     index: dict[tuple[tuple[str, ...], str, tuple[str, ...]], int] = {}
     counts: list[int] = []
     remap: list[int] = []
@@ -85,15 +73,12 @@ def factor_inventory(
     # dicts keep insertion order: one Template per key, in first-occurrence order
     templates = [Template(items, tag, c, pos) for (items, tag, pos), c in zip(index, counts)]
     sequences = [tuple(map(remap.__getitem__, seq)) for seq in inv.sentence_sequences]
-    return TemplateInventory(templates, sequences, inv.total)
+    return TemplateInventory(templates, sequences)
 
 
 def factored_token_stream(
-    sentences: Iterable[AnnotatedSentence], table: CountTable, policy: FactorPolicy
+    sentences: Iterable[AnnotatedSentence], kept: frozenset[str]
 ) -> list[list[str]]:
-    """Render each sentence with rare words gapped, for token-model training."""
-    kept = policy.kept(table)
-    return [
-        [w if w in kept else sys.intern("__%s__" % p) for w, p, _ in s.tokens]
-        for s in sentences
-    ]
+    """Render each sentence with every word outside ``kept`` gapped, for
+    token-model training."""
+    return [[w if w in kept else sys.intern("__%s__" % p) for w, p, _ in s] for s in sentences]

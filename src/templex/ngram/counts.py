@@ -1,10 +1,12 @@
 """N-gram counting with sentence padding and Kneser-Ney continuation counts.
 
 Every sequence is padded with ``order - 1`` beginning-of-sentence symbols and
-one end-of-sentence symbol, and all k-grams for k <= order are counted from
-the padded form.  Continuation counts (number of distinct one-token left
-extensions) are derived for every order below the top; they are the counts
-the lower-order smoothed distributions are built from.
+one end-of-sentence symbol.  Only the counts modified Kneser-Ney reads are
+kept: raw window counts at the top order, and below it the continuation
+counts (number of distinct one-token left extensions), which the
+lower-order smoothed distributions are built from.  The top order is
+counted from the padded sequences once; each lower order's gram types are
+derived from the order above.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 BOS = "<s>"
 EOS = "</s>"
@@ -34,31 +36,36 @@ NGram = tuple[str, ...]
 @dataclass
 class NGramCounts:
     order: int
-    raw: list[dict[NGram, int]]  # raw[k-1] maps k-grams to window counts
-    continuation: list[dict[NGram, int]]  # continuation[k-1], empty dict at the top order
+    # used[k-1] holds the counts the order-k distribution is estimated from:
+    # raw window counts at the top order, continuation counts below
+    used: list[dict[NGram, int]]
     vocab: frozenset[str]  # all sequence tokens plus BOS/EOS
-    sequence_count: int
-
-    def used(self, k: int) -> dict[NGram, int]:
-        """Counts the order-k distribution is estimated from.
-
-        Raw window counts at the top order, continuation counts below.
-        """
-        if k == self.order:
-            return self.raw[k - 1]
-        return self.continuation[k - 1]
 
     def count_of_counts(self, k: int) -> tuple[int, int, int, int]:
         """(n1, n2, n3, n4) over the used counts at order k."""
         n = [0, 0, 0, 0]
-        for c in self.used(k).values():
+        for c in self.used[k - 1].values():
             if c <= 4:
                 n[c - 1] += 1
         return tuple(n)
 
 
+def _shorter(grams: Iterable[NGram]) -> Iterator[NGram]:
+    """The one-shorter windows of a padded sequence, from its windows.
+
+    Each window yields its prefix, and the last window of a sequence (the
+    only one ending in EOS) its suffix as well.  Fed the distinct grams in
+    order of first occurrence, this yields every shorter gram in order of
+    first occurrence: a repeat's windows have all been seen before it.
+    """
+    for g in grams:
+        yield g[:-1]
+        if g[-1] == EOS:
+            yield g[1:]
+
+
 def count_ngrams(sequences: Iterable[Sequence[str]], order: int) -> NGramCounts:
-    """Count every padded k-gram, k <= order, and the continuation counts.
+    """Count the padded top-order grams and the continuation counts below.
 
     Raises ValueError for an empty sequence or one that contains a reserved
     symbol (``<s>``, ``</s>``, ``<unk>``), naming its position, and
@@ -83,15 +90,18 @@ def count_ngrams(sequences: Iterable[Sequence[str]], order: int) -> NGramCounts:
         padded.append(pad + toks + (EOS,))
     if not padded:
         raise EmptyCorpus("no sequences to count")
-    # zip of k shifted copies of a sequence yields its k-grams left to right
-    raw: list[dict[NGram, int]] = [
-        Counter(chain.from_iterable(zip(*[p[j:] for j in range(k)]) for p in padded))
-        for k in range(1, order + 1)
-    ]
-    # Raw (k+1)-gram types are distinct (left-extension, k-gram) pairs, so
-    # counting their suffixes gives the order-k continuation counts.
+    # zip of order shifted copies of a sequence yields its grams left to right
+    grams = Counter(chain.from_iterable(zip(*[p[j:] for j in range(order)]) for p in padded))
+    del padded
+    used: list[dict[NGram, int]] = [grams]
     drop_first = itemgetter(slice(1, None))
-    continuation: list[dict[NGram, int]] = [Counter(map(drop_first, g)) for g in raw[1:]] + [{}]
+    for k in range(order - 1, 0, -1):
+        # The (k+1)-gram types are distinct (left-extension, k-gram) pairs,
+        # so counting their suffixes gives the order-k continuation counts.
+        used.append(Counter(map(drop_first, grams)))
+        if k > 1:
+            grams = dict.fromkeys(_shorter(grams))
+    used.reverse()
     vocab.add(BOS)
     vocab.add(EOS)
-    return NGramCounts(order, raw, continuation, frozenset(vocab), len(padded))
+    return NGramCounts(order, used, frozenset(vocab))

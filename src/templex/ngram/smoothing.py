@@ -27,7 +27,6 @@ exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .counts import BOS, UNK, NGram, NGramCounts
 from .model import NGramModel
@@ -36,14 +35,8 @@ _CLAMP_EPS = 1e-6
 _FALLBACK = (0.5, 0.5, 0.5)
 
 
-@dataclass(frozen=True)
-class Discounts:
-    """(D1, D2, D3+) per order; index 0 is the unigram level."""
-
-    per_order: tuple[tuple[float, float, float], ...]
-
-    def for_order(self, k: int) -> tuple[float, float, float]:
-        return self.per_order[k - 1]
+# (D1, D2, D3+) per order; index 0 is the unigram level
+Discounts = tuple[tuple[float, float, float], ...]
 
 
 def _order_discounts(n1: int, n2: int, n3: int, n4: int) -> tuple[float, float, float]:
@@ -65,12 +58,7 @@ def _order_discounts(n1: int, n2: int, n3: int, n4: int) -> tuple[float, float, 
 
 
 def estimate_discounts(counts: NGramCounts) -> Discounts:
-    return Discounts(
-        tuple(
-            _order_discounts(*counts.count_of_counts(k))
-            for k in range(1, counts.order + 1)
-        )
-    )
+    return tuple(_order_discounts(*counts.count_of_counts(k)) for k in range(1, counts.order + 1))
 
 
 def _discount_for(c: int, d: tuple[float, float, float]) -> float:
@@ -92,8 +80,8 @@ def train_kn(counts: NGramCounts, discounts: Discounts) -> NGramModel:
     bows: dict[NGram, float] = {}
 
     # Unigram level: discounted used counts interpolated with uniform 1/V.
-    d1 = discounts.for_order(1)
-    used1 = counts.used(1)
+    d1 = discounts[0]
+    used1 = counts.used[0]
     total = sum(used1.values())
     seen1 = _seen_mass(used1.values(), d1)
     gamma1 = seen1 / total
@@ -106,7 +94,7 @@ def train_kn(counts: NGramCounts, discounts: Discounts) -> NGramModel:
 
     # Higher orders, bottom-up; lower-order probabilities are already final.
     for k in range(2, order + 1):
-        bows.update(_add_order(probs, counts.used(k), discounts.for_order(k)))
+        bows.update(_add_order(probs, counts.used[k - 1], discounts[k - 1]))
 
     # Contexts of stored n-grams that were never themselves counted (only the
     # run of beginning-of-sentence symbols can do this) still need entries to

@@ -7,7 +7,6 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from templex.corpus import (  # noqa: E402
-    AnnotatedSentence,
     AnnotatedToken,
     extract_templates,
     parse_conll_file,
@@ -42,23 +41,23 @@ def desk_inventory(desk_sentences):
 
 
 @pytest.fixture(scope="session")
-def desk_table(desk_sentences):
+def desk_counts(desk_sentences):
     return token_counts(desk_sentences)
 
 
 @pytest.fixture(scope="session")
-def desk_policy():
-    return FactorPolicy("absolute", 2)
+def desk_kept(desk_counts):
+    return FactorPolicy("absolute", 2).kept(desk_counts)
 
 
 @pytest.fixture(scope="session")
-def desk_factored_inventory(desk_inventory, desk_table, desk_policy):
-    return factor_inventory(desk_inventory, desk_table, desk_policy)
+def desk_factored_inventory(desk_inventory, desk_kept):
+    return factor_inventory(desk_inventory, desk_kept)
 
 
 @pytest.fixture(scope="session")
-def desk_token_seqs(desk_sentences, desk_table, desk_policy):
-    return factored_token_stream(desk_sentences, desk_table, desk_policy)
+def desk_token_seqs(desk_sentences, desk_kept):
+    return factored_token_stream(desk_sentences, desk_kept)
 
 
 @pytest.fixture(scope="session")
@@ -103,7 +102,7 @@ def synthetic_sentences(n, seed):
                 toks.append(AnnotatedToken(w, pos_for[w], ("B-" if i == 0 else "I-") + tag))
         if rng.random() < 0.5:
             toks.append(AnnotatedToken(".", ".", "O"))
-        sents.append(AnnotatedSentence(tuple(toks)))
+        sents.append(tuple(toks))
     return sents
 
 
@@ -114,7 +113,7 @@ def sweep_setup():
     signature model, scorers pre-built."""
     sents = synthetic_sentences(4200, 424242)
     inventory = extract_templates(sents)
-    token_lm = train([[t.surface for t in s.tokens] for s in sents], 3)
+    token_lm = train([[t.surface for t in s] for s in sents], 3)
     sig_lm = train(inventory.signature_sequences(), 5)
     token_lm.scorer
     sig_lm.scorer

@@ -2,8 +2,9 @@
 
 Everything in this file is written straight from the textbook definitions and
 imports nothing from the package under test: counting is the obvious
-quadratic window scan, smoothing is the literal recursive interpolation, and
-ARPA scoring is the standard recursive backoff rule over string tuples.
+quadratic window scan, factoring decides each word on its own count or rank,
+smoothing is the literal recursive interpolation, and ARPA scoring is the
+standard recursive backoff rule over string tuples.
 Slow and simple on purpose.
 """
 
@@ -33,6 +34,26 @@ def brute_count(sequences, order):
         for g in raw[k + 1]:
             cont[k][g[1:]] += 1
     return raw, cont
+
+
+def word_rank(word, counts):
+    """1-based frequency rank of ``word`` among the counted words: rank 1 is
+    the most frequent, ties broken lexicographically; an unseen word ranks
+    past every threshold."""
+    ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    ranks = {w: i for i, (w, _) in enumerate(ordered, start=1)}
+    return ranks.get(word, math.inf)
+
+
+def factor_token(word, pos, counts, mode, threshold):
+    """One word under the factoring rule: its gap ``__POS__`` when its count
+    is below ``threshold`` (absolute) or its rank above it (relative), else
+    the word itself.  Unseen words count 0 and so gap under either mode."""
+    if mode == "absolute":
+        gaps = counts.get(word, 0) < threshold
+    else:
+        gaps = word_rank(word, counts) > threshold
+    return "__%s__" % pos if gaps else word
 
 
 def chen_goodman(used_counts):

@@ -17,16 +17,16 @@ from templex import cli
 from templex.corpus import Template, extract_templates
 from templex.factoring import FactorPolicy, factor_inventory
 from templex.ga import GAConfig, crossover, fitness, make_chromosome, mutate, run
-from templex.ngram import count_ngrams, read_arpa_file
+from templex.ngram import read_arpa_file
 
-from oracles import NaiveKN
+from oracles import NaiveKN, brute_count
 
 
 def _all_observed_contexts(seqs, order):
-    counts = count_ngrams(seqs, order)
+    raw, _ = brute_count(seqs, order)
     observed = set()
     for k in range(1, order):
-        observed.update(counts.raw[k - 1])
+        observed.update(raw[k])
     return sorted(observed)
 
 
@@ -157,15 +157,15 @@ def test_fitness_equals_hand_applied_formula_on_hand_built_chromosomes(
 
 
 def test_coarser_factoring_policies_never_grow_the_inventory(
-    desk_inventory, desk_table
+    desk_inventory, desk_counts
 ):
     """Unique-template counts shrink monotonically as factoring coarsens:
     absolute threshold 2 keeps at least as many templates as threshold 5, and
     rank cutoff 50 at least as many as cutoff 10."""
 
     def unique(mode, threshold):
-        policy = FactorPolicy(mode, threshold)
-        return len(factor_inventory(desk_inventory, desk_table, policy).templates)
+        kept = FactorPolicy(mode, threshold).kept(desk_counts)
+        return len(factor_inventory(desk_inventory, kept).templates)
 
     assert unique("absolute", 2) >= unique("absolute", 5)
     assert unique("relative", 50) >= unique("relative", 10)

@@ -629,24 +629,29 @@ def test_generate_without_recorded_digests_exits_2(tmp_path, data_dir, capsys):
     assert len(err) == 1 and "records no sha256" in err[0] and "retrain" in err[0], err
 
 
-# sha256 of the tables files train writes of tests/data/desk.conll under
-# the settings below, the same on every Python the CI matrix runs (checked
-# on 3.10 to 3.13); perfbench's reference digests cover no tables file
-DESK_TABLES_SHA256 = {
+# sha256 of every file train and a short generate write of
+# tests/data/desk.conll under DESK_KEYS, the same on every Python the CI
+# matrix runs (checked on 3.10 to 3.13); perfbench's reference digests
+# cover no tables file
+DESK_ARTIFACTS_SHA256 = {
+    cli.INVENTORY_FILE: "b72e190572f0c736a709b53d208871644651af5728aa8533a6b6acd811a480c9",
+    cli.TOKEN_LM_FILE: "b7917c1945d3dcde45d2b75dea356de8183b667a3aeae72e6434499592db0881",
+    cli.SIGNATURE_LM_FILE: "fbc6ca9bf0ad21c54057d7b33899e46a4d9fdfbfcba23c8882aafa98daac8670",
     cli.TOKEN_TABLES_FILE: "c8c81034a3ce044669928bd8825b249cda4e6a2b1d1613ab98ac500593e13785",
     cli.SIGNATURE_TABLES_FILE: "7e56d170a5a510f83ae5a9e07dc1fd69c8596cbfa8ff1b732b0795452c699b8e",
+    cli.STATS_FILE: "70929ad5d40055f88f1e7951c9a24e641773d8efe42b5b0ba2b04c7510fae9e2",
+    cli.POPULATION_FILE: "32dcea1f480eb16fb98b5eecb73625a23095f3de3d9172e90b9d689e2a003623",
 }
 
 
-def test_tables_files_are_pinned(tmp_path, data_dir):
-    path = write_config(
-        tmp_path,
-        data_dir,
-        **{"factor.mode": "absolute", "factor.threshold": "2", "token_lm_order": "3", "signature_lm_order": "5"},
-    )
-    assert main(["train", "--config", str(path)]) == 0
-    got = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() for name in DESK_TABLES_SHA256}
-    assert got == DESK_TABLES_SHA256
+def test_artifacts_are_pinned(tmp_path, data_dir):
+    path = trained_config(tmp_path, data_dir)
+    assert main(["generate", "--config", str(path)]) == 0
+    got = {
+        name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+        for name in DESK_ARTIFACTS_SHA256
+    }
+    assert got == DESK_ARTIFACTS_SHA256
 
 
 def test_train_compiles_the_tables_of_its_arpa_files(tmp_path, data_dir):

@@ -6,9 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from templex.corpus import (
-    AnnotatedSentence,
     AnnotatedToken,
-    CountTable,
     IllegalBIO,
     MalformedLine,
     Template,
@@ -18,13 +16,14 @@ from templex.corpus import (
     parse_inventory_lines,
     token_counts,
 )
+from templex.factoring import FactorPolicy
 
 
 def test_minimal_two_token_sentence():
     sents = parse_conll(io.StringIO("the DT B-NP\ncat NN I-NP\n\n"))
     assert len(sents) == 1
-    assert [t.surface for t in sents[0].tokens] == ["the", "cat"]
-    assert [t.chunk for t in sents[0].tokens] == ["B-NP", "I-NP"]
+    assert [t.surface for t in sents[0]] == ["the", "cat"]
+    assert [t.chunk for t in sents[0]] == ["B-NP", "I-NP"]
 
 
 def test_empty_input_gives_empty_list():
@@ -39,7 +38,7 @@ def test_missing_trailing_blank_line_still_closes_sentence():
 
 def test_mini_fixture_hand_counts(mini_sentences):
     assert len(mini_sentences) == 3
-    assert [len(s.tokens) for s in mini_sentences] == [9, 8, 7]
+    assert [len(s) for s in mini_sentences] == [9, 8, 7]
 
 
 def test_wrong_column_count_reports_line_number():
@@ -72,8 +71,8 @@ def test_reserved_symbols_allowed_as_pos():
     # a POS of any form is legal, and so is a word merely near a gap's form
     text = "x <unk> B-NP\n__ __NN__ I-NP\n____ NN I-NP\n_x__ NN I-NP\n__x_ NN I-NP\n"
     (sent,) = parse_conll(io.StringIO(text))
-    assert [t.pos for t in sent.tokens[:2]] == ["<unk>", "__NN__"]
-    assert [t.surface for t in sent.tokens] == ["x", "__", "____", "_x__", "__x_"]
+    assert [t.pos for t in sent[:2]] == ["<unk>", "__NN__"]
+    assert [t.surface for t in sent] == ["x", "__", "____", "_x__", "__x_"]
 
 
 def test_illegal_bio_orphan_inside_tag():
@@ -90,28 +89,22 @@ def test_illegal_bio_at_sentence_start():
 
 
 def test_extract_forced_by_bio_segmentation():
-    sent = AnnotatedSentence(
-        (
-            AnnotatedToken("the", "DT", "B-NP"),
-            AnnotatedToken("cat", "NN", "I-NP"),
-            AnnotatedToken("sat", "VBD", "B-VP"),
-        )
+    sent = (
+        AnnotatedToken("the", "DT", "B-NP"),
+        AnnotatedToken("cat", "NN", "I-NP"),
+        AnnotatedToken("sat", "VBD", "B-VP"),
     )
     inv = extract_templates([sent])
     got = {(" ".join(t.items), t.tag, t.count) for t in inv.templates}
     assert got == {("the cat", "NP", 1), ("sat", "VP", 1)}
-    assert inv.total == 2
     assert inv.sentence_sequences == [(0, 1)]
 
 
 def test_identical_chunks_merge_counts():
-    sent = AnnotatedSentence(
-        (AnnotatedToken("the", "DT", "B-NP"), AnnotatedToken("cat", "NN", "I-NP"))
-    )
+    sent = (AnnotatedToken("the", "DT", "B-NP"), AnnotatedToken("cat", "NN", "I-NP"))
     inv = extract_templates([sent, sent])
     assert len(inv.templates) == 1
     assert inv.templates[0].count == 2
-    assert inv.total == 2
 
 
 MINI_INVENTORY = {
@@ -135,8 +128,7 @@ def test_mini_fixture_inventory_matches_hand_enumeration(mini_sentences):
     inv = extract_templates(mini_sentences)
     got = {(" ".join(t.items), t.tag, t.count) for t in inv.templates}
     assert got == MINI_INVENTORY
-    assert inv.total == 18
-    assert sum(t.count for t in inv.templates) == inv.total
+    assert sum(t.count for t in inv.templates) == 18
 
 
 def test_o_tokens_become_single_templates(mini_sentences):
@@ -148,21 +140,18 @@ def test_o_tokens_become_single_templates(mini_sentences):
 
 
 def test_token_counts_tiny():
-    sent = AnnotatedSentence(
-        (
-            AnnotatedToken("a", "DT", "O"),
-            AnnotatedToken("a", "DT", "O"),
-            AnnotatedToken("b", "NN", "O"),
-        )
+    sent = (
+        AnnotatedToken("a", "DT", "O"),
+        AnnotatedToken("a", "DT", "O"),
+        AnnotatedToken("b", "NN", "O"),
     )
-    table = token_counts([sent])
-    assert table.counts == {"a": 2, "b": 1}
-    assert table.ranks == {"a": 1, "b": 2}
+    assert token_counts([sent]) == {"a": 2, "b": 1}
 
 
 def test_token_counts_empty_corpus():
-    table = token_counts([])
-    assert table.counts == {} and table.ranks == {}
+    counts = token_counts([])
+    assert counts == {}
+    assert FactorPolicy("absolute", 1).kept(counts) == FactorPolicy("relative", 1).kept(counts) == set()
 
 
 MINI_COUNTS = {
@@ -179,29 +168,26 @@ MINI_RANKS = {
 
 
 def test_mini_fixture_counts_and_ranks_hand_checked(mini_sentences):
-    table = token_counts(mini_sentences)
-    assert table.counts == MINI_COUNTS
-    assert table.ranks == MINI_RANKS
+    counts = token_counts(mini_sentences)
+    assert counts == MINI_COUNTS
+    # a relative threshold keeps exactly the words ranked at or above it
+    for threshold in range(1, len(MINI_RANKS) + 2):
+        kept = {w for w, rank in MINI_RANKS.items() if rank <= threshold}
+        assert FactorPolicy("relative", threshold).kept(counts) == kept
 
 
-def test_desk_counts_match_brute_force(desk_sentences, desk_table):
+def test_desk_counts_match_brute_force(desk_sentences, desk_counts):
     brute = {}
     for s in desk_sentences:
-        for t in s.tokens:
+        for t in s:
             brute[t.surface] = brute.get(t.surface, 0) + 1
-    assert desk_table.counts == brute
-    # ranks are a permutation of 1..V
-    assert sorted(desk_table.ranks.values()) == list(range(1, len(brute) + 1))
+    assert desk_counts == brute
 
 
-def test_unseen_words_rank_past_the_end(desk_table):
-    assert desk_table.count("zzz-not-there") == 0
-    assert desk_table.rank("zzz-not-there") == float("inf")
-
-
-def test_rank_tie_break_is_lexicographic():
-    table = CountTable.from_counts({"b": 3, "a": 3, "c": 1})
-    assert table.ranks == {"a": 1, "b": 2, "c": 3}
+def test_unseen_words_are_never_kept(desk_counts):
+    assert desk_counts["zzz-not-there"] == 0
+    for policy in (FactorPolicy("absolute", 1), FactorPolicy("relative", 10**9)):
+        assert "zzz-not-there" not in policy.kept(desk_counts)
 
 
 def test_sentences_reconstruct_from_template_sequences(desk_sentences, desk_inventory):
@@ -209,14 +195,13 @@ def test_sentences_reconstruct_from_template_sequences(desk_sentences, desk_inve
         rebuilt = []
         for i in seq:
             rebuilt.extend(desk_inventory.templates[i].items)
-        assert rebuilt == [t.surface for t in sent.tokens]
+        assert rebuilt == [t.surface for t in sent]
 
 
-def test_total_equals_chunk_occurrences(desk_sentences, desk_inventory):
-    assert desk_inventory.total == sum(
+def test_counts_sum_to_chunk_occurrences(desk_inventory):
+    assert sum(t.count for t in desk_inventory.templates) == sum(
         len(seq) for seq in desk_inventory.sentence_sequences
     )
-    assert sum(t.count for t in desk_inventory.templates) == desk_inventory.total
 
 
 def test_serialization_deterministic(data_dir):
@@ -245,7 +230,6 @@ def test_inventory_roundtrip_through_text(desk_inventory):
     )
     reloaded = sorted((t.tag, " ".join(t.items), t.count) for t in loaded.templates)
     assert original == reloaded
-    assert loaded.total == desk_inventory.total
 
 
 def test_parse_inventory_rejects_bad_lines():
@@ -308,4 +292,4 @@ def test_random_bio_sentences_roundtrip(toks):
     inv = extract_templates(sents)
     rebuilt = [item for i in inv.sentence_sequences[0] for item in inv.templates[i].items]
     assert rebuilt == [t[0] for t in toks]
-    assert inv.total == len(inv.sentence_sequences[0])
+    assert sum(t.count for t in inv.templates) == len(inv.sentence_sequences[0])

@@ -478,7 +478,7 @@ def test_init_population_replays_randrange(desk_factored_inventory, token_lm3, s
 def test_init_population_draws_uniformly(desk_factored_inventory, token_lm3, sig_lm5):
     cfg = default_cfg(population_size=8000, tournament_size=5)
     state = init_population(desk_factored_inventory, cfg, token_lm3.scorer, sig_lm5.scorer, random.Random(6))
-    index = desk_factored_inventory.index()
+    index = {t: i for i, t in enumerate(desk_factored_inventory.templates)}
     observed = [0] * len(desk_factored_inventory.templates)
     for c in state.population:
         observed[index[c.templates[0]]] += 1

@@ -35,9 +35,7 @@ def test_estimate_matches_independent_formulas(desk_token_seqs):
     counts = count_ngrams(desk_token_seqs, 3)
     discounts = estimate_discounts(counts)
     for k in range(1, 4):
-        assert discounts.for_order(k) == pytest.approx(
-            chen_goodman(counts.used(k)), abs=1e-15
-        )
+        assert discounts[k - 1] == pytest.approx(chen_goodman(counts.used[k - 1]), abs=1e-15)
 
 
 def test_fixture_trigram_discounts_hand_computed(desk_token_seqs):
@@ -55,7 +53,7 @@ def test_fixture_trigram_discounts_hand_computed(desk_token_seqs):
         expected = tuple(
             min(max(d, 1e-6), cap - 1e-6) for d, cap in zip(raw, (1.0, 2.0, 3.0))
         )
-    assert estimate_discounts(counts).for_order(3) == pytest.approx(expected, abs=1e-9)
+    assert estimate_discounts(counts)[2] == pytest.approx(expected, abs=1e-9)
 
 
 def test_two_event_corpus_closed_form():
@@ -91,8 +89,8 @@ def test_normalization_over_observed_contexts(token_lm3):
 def test_unk_probability_is_uniform_share(token_lm3, desk_token_seqs):
     # the out-of-vocabulary mass equals the unigram interpolation floor
     counts = count_ngrams(desk_token_seqs, 3)
-    used = counts.used(1)
-    d = estimate_discounts(counts).for_order(1)
+    used = counts.used[0]
+    d = estimate_discounts(counts)[0]
     total = sum(used.values())
     mass = sum(d[0] if c == 1 else d[1] if c == 2 else d[2] for c in used.values())
     expected = (mass / total) / len(token_lm3.vocab)
@@ -126,8 +124,8 @@ def test_bos_run_is_the_only_synthesized_gram(token_lm3, desk_token_seqs):
     # zero; it is materialized purely as a backoff pass-through.
     counts = count_ngrams(desk_token_seqs, 3)
     estimated = {(w,) for w in token_lm3.vocab}
-    estimated.update(counts.used(2))
-    estimated.update(counts.used(3))
+    estimated.update(counts.used[1])
+    estimated.update(counts.used[2])
     synthesized = [
         g for g in token_lm3.logprobs if g not in estimated and g[-1] != UNK
     ]

@@ -1,0 +1,57 @@
+#!/bin/sh
+# Seed-0 digest check under every pyenv Python >= 3.10.
+#
+#     tools/pyenv_digests.sh
+#
+# For each interpreter under $PYENV_ROOT/versions (default ~/.pyenv/versions)
+# that is 3.10 or newer, runs
+#
+#     python perfbench/run.py --workload all --seed 0 --seconds 1
+#
+# from the repository root, one version at a time (the runs share
+# perfbench/work/).  That run trains and generates every workload and checks
+# each artifact against the digests in perfbench/reference.json, so a
+# version passes only when its outputs are byte-identical to the recorded
+# ones.  Prints one line per version; each run's full output is kept in a
+# fresh temporary directory, named at the end.  Exits 1 when a version fails
+# and 2 when no such interpreter is found.
+
+set -u
+root=$(cd "$(dirname "$0")/.." && pwd)
+versions=${PYENV_ROOT:-$HOME/.pyenv}/versions
+cd "$root" || exit 2
+logs=$(mktemp -d) || exit 2
+
+found=0
+status=0
+for dir in "$versions"/*; do
+    py=$dir/bin/python3
+    [ -x "$py" ] || continue
+    "$py" -c 'import sys; sys.exit(sys.version_info < (3, 10))' 2>/dev/null || continue
+    found=1
+    version=$(basename "$dir")
+    log=$logs/$version.log
+    if "$py" perfbench/run.py --workload all --seed 0 --seconds 1 >"$log" 2>&1; then
+        result=pass
+    else
+        result=FAIL
+        status=1
+    fi
+    # the last line of a run is a JSON object with its op counts
+    summary=$(tail -n 1 "$log" | "$py" -c '
+import json, sys
+try:
+    d = json.loads(sys.stdin.read())
+    print("%d of %d ops pass" % (d["attempted"] - d["failed"], d["attempted"]))
+except (ValueError, KeyError):
+    print("no result line")
+')
+    echo "$version: $result ($summary)"
+done
+
+if [ "$found" = 0 ]; then
+    echo "no pyenv Python >= 3.10 under $versions" >&2
+    exit 2
+fi
+echo "logs in $logs"
+exit "$status"
