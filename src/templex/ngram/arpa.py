@@ -8,8 +8,14 @@ rendered with 4 decimals, so a write/read round trip preserves them to 1e-4.
 Output is sorted and fully deterministic.  The writer also compiles the
 scorer tables of what it wrote, which ``train`` stores beside the file.  It
 formats, writes and parses back each section in blocks of ``BLOCK`` grams,
-so only one block's strings are alive at a time, beside the model and the
-tables being built; the block size changes neither the text nor the tables.
+so only one block's strings are alive at a time; the block size changes
+neither the text nor the tables.
+
+The writer consumes the model: it takes the model's maps, leaving
+``logprobs`` and ``backoffs`` as ``None``, and frees each block's values (and
+the top order's grams) once the block is written, so the model is not held
+whole beside the tables being built.  A caller that uses the model after
+writing it passes a copy.
 """
 
 from __future__ import annotations
@@ -43,43 +49,65 @@ def write_arpa(model: NGramModel, stream: IO[str]) -> ScorerTables:
     only then is the next block formatted.  So the tables equal
     ``build_tables(read_arpa(text))`` without reading the text again, and
     no section's text is held whole.
+
+    Consumes ``model``: its ``logprobs`` and ``backoffs`` are ``None`` on
+    return, so a later use of them raises rather than scoring an empty
+    model.  Pass a copy to keep the model.
     """
-    by_order: list[list[NGram]] = [[] for _ in range(model.order)]
-    for g in model.logprobs:
+    logprobs, backoffs = model.logprobs, model.backoffs
+    model.logprobs = model.backoffs = None
+    order = model.order
+    by_order: list[list[NGram]] = [[] for _ in range(order)]
+    for g in logprobs:
         by_order[len(g) - 1].append(g)
     for grams in by_order:
         grams.sort()
-    logprobs, backoffs = model.logprobs, model.backoffs
+    # each order's values in the order of its grams; the maps go after this
+    lp_values = [list(map(logprobs.__getitem__, grams)) for grams in by_order]
+    bo_values = [list(map(backoffs.get, grams, repeat(0.0))) for grams in by_order[:-1]]
+    unk = logprobs.get((UNK,))
+    del logprobs, backoffs
     # read_arpa's vocabulary: the unigrams, with <unk> as the OOV score
-    builder = TableBuilder(model.order, [g[0] for g in by_order[0] if g[0] != UNK])
+    builder = TableBuilder(order, [g[0] for g in by_order[0] if g[0] != UNK])
 
     # the backoff fields as read_arpa would parse them, section by section;
     # the builder takes them after every log probability, as build_tables
     # does, so that it numbers the contexts alike
-    weights: list[list[float]] = [[] for _ in range(model.order - 1)]
+    weights: list[list[float]] = [[] for _ in range(order - 1)]
     # each distinct field text parsed once, so equal values share one float
     # ("-0.0000" and "0.0000" are distinct texts: -0.0 stays -0.0)
     parsed: dict[str, float] = {}
     stream.write("\\data\\\n")
-    for k in range(1, model.order + 1):
+    for k in range(1, order + 1):
         stream.write("ngram %d=%d\n" % (k, len(by_order[k - 1])))
     for k, grams in enumerate(by_order, start=1):
         stream.write("\n\\%d-grams:\n" % k)
-        for start in range(0, len(grams), BLOCK):
-            block = grams[start : start + BLOCK]
-            lps = list(map("%.4f".__mod__, map(logprobs.__getitem__, block)))
-            if k < model.order:
-                bos = list(map("%.4f".__mod__, map(backoffs.get, block, repeat(0.0))))
+        top = k == order
+        # add_backoffs reads the lower orders' grams again at the end
+        blocks = _take(grams) if top else (grams[i : i + BLOCK] for i in range(0, len(grams), BLOCK))
+        bo_blocks = repeat(None) if top else _take(bo_values[k - 1])
+        for block, lp, bo in zip(blocks, _take(lp_values[k - 1]), bo_blocks):
+            lps = list(map("%.4f".__mod__, lp))
+            if top:
+                stream.writelines(map("%s\t%s\n".__mod__, zip(lps, map(" ".join, block))))
+            else:
+                bos = list(map("%.4f".__mod__, bo))
                 stream.writelines(map("%s\t%s\t%s\n".__mod__, zip(lps, map(" ".join, block), bos)))
                 weights[k - 1].extend(_parse(bos, parsed))
-            else:
-                stream.writelines(map("%s\t%s\n".__mod__, zip(lps, map(" ".join, block))))
             builder.add_logprobs(block, _parse(lps, parsed))
     stream.write("\n\\end\\\n")
     for grams, section in zip(by_order, weights):
         builder.add_backoffs(grams, section)
-    unk = logprobs.get((UNK,))
     return builder.tables(LOG_FLOOR if unk is None else float("%.4f" % unk))
+
+
+def _take(items: list) -> Iterator[list]:
+    """``items`` in blocks of ``BLOCK`` from the front, each block removed
+    from ``items`` as it is taken, so a block is freed once it is used."""
+    while items:
+        block = items[:BLOCK]
+        del items[:BLOCK]
+        yield block
 
 
 def _parse(texts: list[str], parsed: dict[str, float]) -> Iterator[float]:

@@ -37,8 +37,9 @@ NGram = tuple[str, ...]
 class NGramCounts:
     order: int
     # used[k-1] holds the counts the order-k distribution is estimated from:
-    # raw window counts at the top order, continuation counts below
-    used: list[dict[NGram, int]]
+    # raw window counts at the top order, continuation counts below;
+    # train_kn sets each to None once it has estimated that order
+    used: list[dict[NGram, int] | None]
     vocab: frozenset[str]  # all sequence tokens plus BOS/EOS
 
     def count_of_counts(self, k: int) -> tuple[int, int, int, int]:

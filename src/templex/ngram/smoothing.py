@@ -22,6 +22,11 @@ stored in backoff form: each seen n-gram keeps its full interpolated
 probability and each seen context keeps gamma as its backoff weight, so a
 standard longest-match backoff walk reproduces the interpolated model
 exactly.
+
+Estimation consumes the counts: each order's count map is dropped from
+``counts.used`` once that order's probabilities are stored, so the top
+order is estimated without the lower orders' maps.  A caller that reads the
+counts after training passes a copy.
 """
 
 from __future__ import annotations
@@ -72,7 +77,11 @@ def _discount_for(c: int, d: tuple[float, float, float]) -> float:
 
 
 def train_kn(counts: NGramCounts, discounts: Discounts) -> NGramModel:
-    """Estimate the model; see the module docstring for the formulation."""
+    """Estimate the model; see the module docstring for the formulation.
+
+    Consumes ``counts``: every entry of ``counts.used`` is ``None`` on
+    return.  Pass a copy to keep the counts.
+    """
     order = counts.order
     vocab = counts.vocab
     nvocab = len(vocab)
@@ -91,10 +100,13 @@ def train_kn(counts: NGramCounts, discounts: Discounts) -> NGramModel:
         probs[(w,)] = max(c - _discount_for(c, d1), 0.0) / total + gamma1 * uniform
     unk_p = gamma1 * uniform
     probs[(UNK,)] = unk_p
+    del used1
+    counts.used[0] = None
 
     # Higher orders, bottom-up; lower-order probabilities are already final.
     for k in range(2, order + 1):
         bows.update(_add_order(probs, counts.used[k - 1], discounts[k - 1]))
+        counts.used[k - 1] = None
 
     # Contexts of stored n-grams that were never themselves counted (only the
     # run of beginning-of-sentence symbols can do this) still need entries to

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import float_bits
+from helpers import copy_model, float_bits
 from oracles import arpa_seq_logprob, read_arpa_table
 from templex.kernels import build_tables, write_tables
 from templex.ngram import (
@@ -41,7 +41,7 @@ ngram 2=2
 
 def render(model):
     buf = io.StringIO()
-    write_arpa(model, buf)
+    write_arpa(copy_model(model), buf)
     return buf.getvalue()
 
 
@@ -176,10 +176,21 @@ def test_sections_are_counted_as_read():
 
 def test_file_round_trip(tmp_path, sig_lm5):
     path = tmp_path / "model.arpa"
-    write_arpa_file(sig_lm5, path)
+    write_arpa_file(copy_model(sig_lm5), path)
     m = read_arpa_file(path)
     assert m.order == 5
     assert set(m.logprobs) == set(sig_lm5.logprobs)
+
+
+def test_writer_consumes_the_model(token_lm3):
+    model = copy_model(token_lm3)
+    write_arpa(model, io.StringIO())
+    assert model.logprobs is None and model.backoffs is None
+    # a consumed model raises rather than scoring as an empty one
+    with pytest.raises(AttributeError):
+        build_tables(model)
+    with pytest.raises(AttributeError):
+        model.scorer
 
 
 def missing(text, what, repl=""):
@@ -262,7 +273,7 @@ def test_writer_returns_the_tables_of_the_text(token_lm3, sig_lm5, desk_token_se
     with_backoffs = NGramModel(1, lm1.vocab, lm1.logprobs, {g: -0.25 for g in lm1.logprobs}, lm1.unk_log10)
     for model in (token_lm3, sig_lm5, lm1, with_backoffs, read_arpa(io.StringIO(HAND_BIGRAM))):
         buf = io.StringIO()
-        tables = write_arpa(model, buf)
+        tables = write_arpa(copy_model(model), buf)
         buf.seek(0)
         assert_same_tables(tables, build_tables(read_arpa(buf)))
 
@@ -285,7 +296,7 @@ def test_block_boundaries_do_not_change_the_writer_output(token_lm3, tmp_path, m
     def written(block):
         monkeypatch.setattr(arpa, "BLOCK", block)
         buf = io.StringIO()
-        tables = write_arpa(token_lm3, buf)
+        tables = write_arpa(copy_model(token_lm3), buf)
         write_tables(tables, tmp_path / "t.tables")
         return buf.getvalue(), tables, (tmp_path / "t.tables").read_bytes()
 

@@ -13,6 +13,7 @@ from templex.corpus import (
     extract_templates,
     inventory_lines,
     parse_conll,
+    parse_conll_file,
     parse_inventory_lines,
     token_counts,
 )
@@ -205,8 +206,8 @@ def test_counts_sum_to_chunk_occurrences(desk_inventory):
 
 
 def test_serialization_deterministic(data_dir):
-    a = parse_conll(open(data_dir / "desk.conll", encoding="utf-8"))
-    b = parse_conll(open(data_dir / "desk.conll", encoding="utf-8"))
+    a = parse_conll_file(data_dir / "desk.conll")
+    b = parse_conll_file(data_dir / "desk.conll")
     assert list(inventory_lines(extract_templates(a))) == list(
         inventory_lines(extract_templates(b))
     )

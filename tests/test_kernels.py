@@ -37,7 +37,7 @@ from templex.kernels.tables import (
 )
 from templex.ngram import BOS, NGramModel, read_arpa, read_arpa_file, train, write_arpa
 
-from helpers import float_bits
+from helpers import copy_model, float_bits
 from oracles import reference_tables
 
 HAVE_NATIVE = "native" in available_backends()
@@ -197,7 +197,7 @@ def assert_tables_match_reference(model):
 
 def round_trip(model):
     buf = io.StringIO()
-    write_arpa(model, buf)
+    write_arpa(copy_model(model), buf)
     buf.seek(0)
     return read_arpa(buf)
 

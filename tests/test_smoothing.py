@@ -105,6 +105,12 @@ def test_train_kn_equals_train_convenience(desk_sig_seqs):
     assert a.backoffs == b.backoffs
 
 
+def test_train_kn_consumes_the_counts(desk_sig_seqs):
+    counts = count_ngrams(desk_sig_seqs, 5)
+    train_kn(counts, estimate_discounts(counts))
+    assert counts.used == [None] * 5
+
+
 def test_every_stored_context_has_pass_through_entry(token_lm3):
     # any gram carrying a backoff weight must itself be scoreable
     for h in token_lm3.backoffs:
