@@ -145,7 +145,7 @@ def load_run_config(path: Path) -> RunConfig:
     """Read and validate a config file; relative paths resolve against it."""
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError("cannot read config %s: %s" % (path, exc)) from None
     values = parse_config_text(text, str(path))
     unknown = sorted(set(values) - _KNOWN_KEYS)
@@ -279,7 +279,7 @@ def cmd_train(cfg: RunConfig) -> int:
     hash_at_start = config_hash(cfg)
     try:
         sentences = parse_conll_file(cfg.corpus)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError("cannot read corpus %s: %s" % (cfg.corpus, exc)) from None
     except (MalformedLine, IllegalBIO) as exc:
         raise DataError("%s: %s" % (cfg.corpus, exc)) from None
@@ -357,8 +357,8 @@ def _read_manifest(outdir: Path) -> dict[str, str]:
     path = outdir / MANIFEST_FILE
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataError("no manifest at %s (run train first): %s" % (path, exc)) from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError("cannot read manifest %s (run train first): %s" % (path, exc)) from None
     try:
         values = parse_config_text(text, str(path))
     except ConfigError as exc:
@@ -467,8 +467,8 @@ def cmd_inspect(result_dir: Path, top: int) -> int:
                 except ValueError:
                     raise DataError("%s:%d: bad fitness %r" % (pop_path, lineno, parts[2])) from None
                 rows.append((parts[0], parts[1], fit))
-    except OSError as exc:
-        raise DataError("cannot read population dump: %s" % exc) from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError("cannot read population dump %s: %s" % (pop_path, exc)) from None
     if not rows:
         raise DataError("%s is empty" % pop_path)
     rows.sort(key=lambda r: -r[2])
@@ -493,8 +493,8 @@ def cmd_inspect(result_dir: Path, top: int) -> int:
                     mean_len.append(float(cols[3]))
                 except (IndexError, ValueError):
                     raise DataError("%s:%d: bad stats row %r" % (stats_path, lineno, line)) from None
-    except OSError as exc:
-        raise DataError("cannot read stats: %s" % exc) from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError("cannot read stats %s: %s" % (stats_path, exc)) from None
     if not mean_fit:
         raise DataError("%s has no data rows" % stats_path)
     print()

@@ -17,23 +17,24 @@ the longest stored context that the next token can still extend (Heafield
 ``eos_id`` and ``bos_state`` follow from the vocabulary and ``trans``, and
 every ``ScorerTables`` works them out when it is made, built or loaded.
 
-One builder makes the tables, ``TableBuilder``: the log probabilities are
-added first, then the backoff weights.  ``build_tables`` feeds it a model's
-maps, and the ARPA writer feeds it the numbers it writes, in the order of
-the file, so the tables ``train`` stores equal those ``build_tables`` makes
-of the model read back from its ARPA file.  Each gram's words are looked up
-once, and its context is found by walking ``trans`` from the empty context.  A context the
-walk does not find is made on the spot: it takes the next id, its parent
-(the context without its first token) is found and if need be made by the
-same rule, and its backoff is 0.0 until the model gives one.  So every
-prefix and suffix of a stored context exists, as both walks need (pruned
-external models may store a context without them), and contexts are
-numbered in the order they are first reached, after their parents and
-prefixes; the kernels treat a state as an opaque int.  Backoff weights are
-read only from grams shorter than the model's order: a context is at most
-order - 1 tokens long, and a weight on a top-order gram (which an ARPA file
-may carry) would otherwise make an order-1 model's state keep the last
-token.
+One builder makes the tables, ``TableBuilder``, and it alone orders what it
+is given: it stores each log probability as it is added, and sets the
+backoff weights when the tables are taken, after every log probability.
+``build_tables`` adds a model's maps, and the ARPA writer each gram's
+numbers as it writes them, in the order of the file, so the tables ``train``
+stores equal those ``build_tables`` makes of the model read back from its
+ARPA file.  Each gram's words are looked up once, and its context is found
+by walking ``trans`` from the empty context.  A context the walk does not
+find is made on the spot: it takes the next id, its parent (the context
+without its first token) is found and if need be made by the same rule, and
+its backoff is 0.0 until the model gives one.  So every prefix and suffix of
+a stored context exists, as both walks need (pruned external models may
+store a context without them), and contexts are numbered in the order they
+are first reached, after their parents and prefixes; the kernels treat a
+state as an opaque int.  Backoff weights are read only from grams shorter
+than the model's order: a context is at most order - 1 tokens long, and a
+weight on a top-order gram (which an ARPA file may carry) would otherwise
+make an order-1 model's state keep the last token.
 
 ``write_tables`` / ``read_tables`` store the tables in a binary file
 (format version 3): a header of magic, version, order, base, ``unk_log10``
@@ -67,6 +68,7 @@ import struct
 import sys
 from array import array
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from ..ngram.counts import BOS, EOS
 from .pykernel import PyScorer
@@ -111,6 +113,8 @@ class TableBuilder:
         self.backoff = [0.0]
         self.probs: dict[int, float] = {}
         self.trans: dict[int, int] = {}
+        # backoff weights not yet set, by the key of their gram
+        self.queued: dict[int, float] = {}
 
     def extend(self, c: int, t: int) -> int:
         """Make the context ``c`` followed by token ``t``, which is missing,
@@ -151,34 +155,34 @@ class TableBuilder:
             c = self.extend(c, t) if nxt is None else nxt
         return c
 
-    def add_logprobs(self, grams, values) -> None:
-        """Store each gram's log10 probability.  A run of grams that share a
-        prefix (an ARPA section is sorted) walks it once."""
-        tid, sentinel = self.token_ids.get, self.base - 1
-        probs, base, context = self.probs, self.base, self.context
+    def add(self, grams, logprobs, weights) -> None:
+        """Store each gram's log10 probability and queue its backoff weight;
+        ``None`` stores nothing, nor does a top-order gram's weight, and a
+        gram that stores nothing walks no prefix.  A run of grams that share
+        a prefix (an ARPA section is sorted) walks it once."""
+        tid, sentinel, base, top = self.token_ids.get, self.base - 1, self.base, self.order
+        probs, queued, context = self.probs, self.queued, self.context
         prefix, c = (), 0
-        for g, lp in zip(grams, values):
+        for g, lp, w in zip(grams, logprobs, weights):
+            if w is not None and len(g) >= top:
+                w = None
+            if lp is None and w is None:
+                continue
             if g[:-1] != prefix:
                 prefix = g[:-1]
                 c = context(prefix)
-            probs[c * base + tid(g[-1], sentinel)] = lp
-
-    def add_backoffs(self, grams, weights) -> None:
-        """Store the backoff weight of each gram shorter than the order."""
-        tid, sentinel = self.token_ids.get, self.base - 1
-        backoff, trans, base, top = self.backoff, self.trans, self.base, self.order
-        context, extend = self.context, self.extend
-        prefix, c = (), 0
-        for g, w in zip(grams, weights):
-            if len(g) < top:
-                if g[:-1] != prefix:
-                    prefix = g[:-1]
-                    c = context(prefix)
-                t = tid(g[-1], sentinel)
-                nxt = trans.get(c * base + t)
-                backoff[extend(c, t) if nxt is None else nxt] = w
+            key = c * base + tid(g[-1], sentinel)
+            if lp is not None:
+                probs[key] = lp
+            if w is not None:
+                queued[key] = w
 
     def tables(self, unk_log10: float) -> ScorerTables:
+        """The tables, once each queued backoff weight is set in turn."""
+        trans, backoff, base, extend = self.trans, self.backoff, self.base, self.extend
+        for key, w in self.queued.items():
+            c = trans.get(key)
+            backoff[extend(*divmod(key, base)) if c is None else c] = w
         return ScorerTables(
             order=self.order,
             base=self.base,
@@ -193,8 +197,8 @@ class TableBuilder:
 
 def build_tables(model) -> ScorerTables:
     builder = TableBuilder(model.order, model.vocab)
-    builder.add_logprobs(model.logprobs, model.logprobs.values())
-    builder.add_backoffs(model.backoffs, model.backoffs.values())
+    builder.add(model.logprobs, model.logprobs.values(), repeat(None))
+    builder.add(model.backoffs, repeat(None), model.backoffs.values())
     return builder.tables(model.unk_log10)
 
 

@@ -9,13 +9,15 @@ Output is sorted and fully deterministic.  The writer also compiles the
 scorer tables of what it wrote, which ``train`` stores beside the file.  It
 formats, writes and parses back each section in blocks of ``BLOCK`` grams,
 so only one block's strings are alive at a time; the block size changes
-neither the text nor the tables.
+neither the text nor the tables.  Every section streams alike: each block's
+grams, log probabilities and backoff weights go to the table builder
+together, which orders them as ``build_tables`` does.
 
 The writer consumes the model: it takes the model's maps, leaving
-``logprobs`` and ``backoffs`` as ``None``, and frees each block's values (and
-the top order's grams) once the block is written, so the model is not held
-whole beside the tables being built.  A caller that uses the model after
-writing it passes a copy.
+``logprobs`` and ``backoffs`` as ``None``, and frees each block's grams and
+values once the block is written, so the model is not held whole beside the
+tables being built and no gram outlives its section.  A caller that uses
+the model after writing it passes a copy.
 """
 
 from __future__ import annotations
@@ -45,10 +47,10 @@ def write_arpa(model: NGramModel, stream: IO[str]) -> ScorerTables:
 
     Each section is written in blocks of ``BLOCK`` grams.  A block's lines
     are formatted and written, then each value is parsed back from the text
-    written for it and fed to the table builder in the order of the text;
-    only then is the next block formatted.  So the tables equal
-    ``build_tables(read_arpa(text))`` without reading the text again, and
-    no section's text is held whole.
+    written for it, and the block's grams go to the table builder with their
+    log probabilities and backoff weights; only then is the next block
+    formatted.  So the tables equal ``build_tables(read_arpa(text))``
+    without reading the text again, and no section's text is held whole.
 
     Consumes ``model``: its ``logprobs`` and ``backoffs`` are ``None`` on
     return, so a later use of them raises rather than scoring an empty
@@ -57,11 +59,8 @@ def write_arpa(model: NGramModel, stream: IO[str]) -> ScorerTables:
     logprobs, backoffs = model.logprobs, model.backoffs
     model.logprobs = model.backoffs = None
     order = model.order
-    by_order: list[list[NGram]] = [[] for _ in range(order)]
-    for g in logprobs:
-        by_order[len(g) - 1].append(g)
-    for grams in by_order:
-        grams.sort()
+    # a comprehension, so no loop variable keeps a gram alive
+    by_order = [sorted(g for g in logprobs if len(g) == k) for k in range(1, order + 1)]
     # each order's values in the order of its grams; the maps go after this
     lp_values = [list(map(logprobs.__getitem__, grams)) for grams in by_order]
     bo_values = [list(map(backoffs.get, grams, repeat(0.0))) for grams in by_order[:-1]]
@@ -70,10 +69,6 @@ def write_arpa(model: NGramModel, stream: IO[str]) -> ScorerTables:
     # read_arpa's vocabulary: the unigrams, with <unk> as the OOV score
     builder = TableBuilder(order, [g[0] for g in by_order[0] if g[0] != UNK])
 
-    # the backoff fields as read_arpa would parse them, section by section;
-    # the builder takes them after every log probability, as build_tables
-    # does, so that it numbers the contexts alike
-    weights: list[list[float]] = [[] for _ in range(order - 1)]
     # each distinct field text parsed once, so equal values share one float
     # ("-0.0000" and "0.0000" are distinct texts: -0.0 stays -0.0)
     parsed: dict[str, float] = {}
@@ -82,22 +77,18 @@ def write_arpa(model: NGramModel, stream: IO[str]) -> ScorerTables:
         stream.write("ngram %d=%d\n" % (k, len(by_order[k - 1])))
     for k, grams in enumerate(by_order, start=1):
         stream.write("\n\\%d-grams:\n" % k)
-        top = k == order
-        # add_backoffs reads the lower orders' grams again at the end
-        blocks = _take(grams) if top else (grams[i : i + BLOCK] for i in range(0, len(grams), BLOCK))
-        bo_blocks = repeat(None) if top else _take(bo_values[k - 1])
-        for block, lp, bo in zip(blocks, _take(lp_values[k - 1]), bo_blocks):
+        bo_blocks = _take(bo_values[k - 1]) if k < order else repeat(None)
+        for block, lp, bo in zip(_take(grams), _take(lp_values[k - 1]), bo_blocks):
             lps = list(map("%.4f".__mod__, lp))
-            if top:
+            if bo is None:
                 stream.writelines(map("%s\t%s\n".__mod__, zip(lps, map(" ".join, block))))
+                weights = repeat(None)
             else:
                 bos = list(map("%.4f".__mod__, bo))
                 stream.writelines(map("%s\t%s\t%s\n".__mod__, zip(lps, map(" ".join, block), bos)))
-                weights[k - 1].extend(_parse(bos, parsed))
-            builder.add_logprobs(block, _parse(lps, parsed))
+                weights = _parse(bos, parsed)
+            builder.add(block, _parse(lps, parsed), weights)
     stream.write("\n\\end\\\n")
-    for grams, section in zip(by_order, weights):
-        builder.add_backoffs(grams, section)
     return builder.tables(LOG_FLOOR if unk is None else float("%.4f" % unk))
 
 

@@ -310,6 +310,37 @@ def test_block_boundaries_do_not_change_the_writer_output(token_lm3, tmp_path, m
         assert got_bytes == tables_bytes
 
 
+def test_writer_keeps_no_lower_order_gram_past_its_section(token_lm3, monkeypatch):
+    # a tuple subclass records its own freeing: tuples take no weak reference
+    freed = []
+
+    class Gram(tuple):
+        def __del__(self):
+            freed.append(tuple(self))
+
+    class Stream(io.StringIO):
+        def write(self, text):
+            if "\\end\\" in text:
+                self.freed_at_end = set(freed)
+            return super().write(text)
+
+    monkeypatch.setattr(arpa, "BLOCK", 2)
+    # one Gram object per gram, shared by both maps, as in a trained model
+    grams = {g: Gram(g) for g in token_lm3.logprobs}
+    model = NGramModel(
+        token_lm3.order,
+        token_lm3.vocab,
+        {grams[g]: lp for g, lp in token_lm3.logprobs.items()},
+        {grams[g]: w for g, w in token_lm3.backoffs.items()},
+        token_lm3.unk_log10,
+    )
+    del grams
+    stream = Stream()
+    write_arpa(model, stream)
+    lower = {g for g in token_lm3.logprobs if len(g) < token_lm3.order}
+    assert lower and lower <= stream.freed_at_end
+
+
 def test_writer_keeps_the_sign_of_zero():
     model = NGramModel(1, frozenset({"a", "b"}), {("a",): -0.00001, ("b",): 0.0}, {})
     buf = io.StringIO()

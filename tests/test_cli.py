@@ -123,6 +123,14 @@ def test_missing_config_file_is_config_error(tmp_path):
         load_run_config(tmp_path / "absent.cfg")
 
 
+def test_config_that_is_not_utf8_exits_1(tmp_path, capsys):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(b"corpus=caf\xe9.conll\n")
+    assert main(["train", "--config", str(path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot read config %s: " % path), err
+
+
 def test_config_without_outdir_is_rejected(tmp_path, data_dir):
     path = write_config(tmp_path, data_dir, outdir=None)
     with pytest.raises(ConfigError, match="no output directory"):
@@ -274,18 +282,20 @@ def test_train_missing_corpus_exits_2(tmp_path, data_dir, capsys):
 @pytest.mark.parametrize(
     "text",
     [
-        "word\tNN\n\n",
-        "a\tDT\tB-NP\n<unk>\tNN\tI-NP\n\n",
-        "a\tDT\tB-</s>\n\n",
+        b"word\tNN\n\n",
+        b"a\tDT\tB-NP\n<unk>\tNN\tI-NP\n\n",
+        b"a\tDT\tB-</s>\n\n",
+        b"caf\xe9\tNN\tB-NP\n\n",
     ],
-    ids=["two-columns", "reserved-word", "reserved-label"],
+    ids=["two-columns", "reserved-word", "reserved-label", "not-utf8"],
 )
 def test_train_malformed_corpus_exits_2(tmp_path, data_dir, capsys, text):
     bad = tmp_path / "bad.conll"
-    bad.write_text(text, encoding="utf-8")
+    bad.write_bytes(text)
     path = write_config(tmp_path, data_dir, corpus=str(bad))
     assert main(["train", "--config", str(path)]) == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(bad) in err[0], err
 
 
 def test_train_rejects_a_word_spelled_like_a_gap(tmp_path, data_dir, capsys):
@@ -464,6 +474,17 @@ def test_generate_without_train_exits_2(tmp_path, data_dir, capsys):
     path = write_config(tmp_path, data_dir)
     assert main(["generate", "--config", str(path)]) == 2
     assert "run train first" in capsys.readouterr().err
+
+
+def test_generate_manifest_not_utf8_exits_2(tmp_path, data_dir, capsys):
+    path = trained_config(tmp_path, data_dir)
+    manifest = tmp_path / "out" / cli.MANIFEST_FILE
+    manifest.write_bytes(manifest.read_bytes() + b"note=caf\xe9\n")
+    capsys.readouterr()
+    assert main(["generate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot read manifest %s " % manifest), err
+    assert not (tmp_path / "out" / cli.STATS_FILE).exists()
 
 
 def test_generate_under_changed_training_config_exits_2(tmp_path, data_dir, capsys):
@@ -761,13 +782,22 @@ def test_inspect_missing_dir_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_inspect_corrupt_population_exits_2(tmp_path, data_dir, capsys):
+@pytest.mark.parametrize(
+    "population, fragment",
+    [
+        (b"only two\tfields\n", "expected 3 tab-separated fields"),
+        (b"caf\xe9\tNP\t0.5\n", "cannot read population dump"),
+    ],
+    ids=["two-fields", "not-utf8"],
+)
+def test_inspect_corrupt_population_exits_2(tmp_path, data_dir, capsys, population, fragment):
     out = tmp_path / "out"
     out.mkdir()
-    (out / cli.POPULATION_FILE).write_text("only two\tfields\n", encoding="utf-8")
+    (out / cli.POPULATION_FILE).write_bytes(population)
     (out / cli.STATS_FILE).write_text("generation,mean_fitness,max_fitness,mean_len,std_len\n0,1,1,1,0\n", encoding="utf-8")
     assert main(["inspect", str(out)]) == 2
-    assert "expected 3 tab-separated fields" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert fragment in err and cli.POPULATION_FILE in err
 
 
 def test_inspect_bad_fitness_field_exits_2(tmp_path, capsys):
@@ -785,6 +815,15 @@ def test_inspect_unrecognized_stats_header_exits_2(tmp_path, capsys):
     (out / cli.STATS_FILE).write_text("wrong,header\n", encoding="utf-8")
     assert main(["inspect", str(out)]) == 2
     assert "unrecognized stats header" in capsys.readouterr().err
+
+
+def test_inspect_stats_not_utf8_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / cli.POPULATION_FILE).write_text("a\tNP\t0.5\n", encoding="utf-8")
+    (out / cli.STATS_FILE).write_bytes(b"generation,mean_fitness,max_fitness,mean_len,std_len\n0,\xe9,1,1,0\n")
+    assert main(["inspect", str(out)]) == 2
+    assert "cannot read stats %s: " % (out / cli.STATS_FILE) in capsys.readouterr().err
 
 
 def test_inspect_top_clamps_to_population(tmp_path, capsys):

@@ -12,9 +12,13 @@
 # perfbench/work/).  That run trains and generates every workload and checks
 # each artifact against the digests in perfbench/reference.json, so a
 # version passes only when its outputs are byte-identical to the recorded
-# ones.  Prints one line per version; each run's full output is kept in a
-# fresh temporary directory, named at the end.  Exits 1 when a version fails
-# and 2 when no such interpreter is found.
+# ones.  The reference digests cover no .tables file, so after each run the
+# sha256 of the six .tables files it trained is printed, and the versions'
+# digests are compared with each other.  Prints one line per version, then
+# its .tables digests; each run's full output is kept in a fresh temporary
+# directory, named at the end.  Exits 1 when a version fails or its .tables
+# digests differ from the first version's, and 2 when no such interpreter is
+# found.
 
 set -u
 root=$(cd "$(dirname "$0")/.." && pwd)
@@ -24,6 +28,7 @@ logs=$(mktemp -d) || exit 2
 
 found=0
 status=0
+first=
 for dir in "$versions"/*; do
     py=$dir/bin/python3
     [ -x "$py" ] || continue
@@ -31,6 +36,8 @@ for dir in "$versions"/*; do
     found=1
     version=$(basename "$dir")
     log=$logs/$version.log
+    # so that a run that trains nothing leaves no older run's tables
+    rm -f perfbench/work/*/out/*.tables
     if "$py" perfbench/run.py --workload all --seed 0 --seconds 1 >"$log" 2>&1; then
         result=pass
     else
@@ -47,6 +54,19 @@ except (ValueError, KeyError):
     print("no result line")
 ')
     echo "$version: $result ($summary)"
+    tables=$logs/$version.tables
+    "$py" -c '
+import hashlib, pathlib
+for path in sorted(pathlib.Path("perfbench/work").glob("*/out/*.tables")):
+    print("  %s  %s" % (hashlib.sha256(path.read_bytes()).hexdigest(), path))
+' >"$tables"
+    cat "$tables"
+    if [ -z "$first" ]; then
+        first=$tables
+    elif ! cmp -s "$first" "$tables"; then
+        echo "$version: .tables digests differ from $(basename "$first" .tables)"
+        status=1
+    fi
 done
 
 if [ "$found" = 0 ]; then
