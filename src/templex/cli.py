@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import gc
 import hashlib
+import math
 import os
 import sys
 from contextlib import contextmanager
@@ -447,6 +448,13 @@ def sparkline(values) -> str:
     return "".join(_SPARK[round((v - lo) / (hi - lo) * top)] for v in values)
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
 def cmd_inspect(result_dir: Path, top: int) -> int:
     if top < 1:
         raise ConfigError("--top must be >= 1, got %d" % top)
@@ -463,7 +471,7 @@ def cmd_inspect(result_dir: Path, top: int) -> int:
                 if len(parts) != 3:
                     raise DataError("%s:%d: expected 3 tab-separated fields" % (pop_path, lineno))
                 try:
-                    fit = float(parts[2])
+                    fit = _finite(parts[2])
                 except ValueError:
                     raise DataError("%s:%d: bad fitness %r" % (pop_path, lineno, parts[2])) from None
                 rows.append((parts[0], parts[1], fit))
@@ -489,8 +497,8 @@ def cmd_inspect(result_dir: Path, top: int) -> int:
                     continue
                 cols = line.split(",")
                 try:
-                    mean_fit.append(float(cols[1]))
-                    mean_len.append(float(cols[3]))
+                    mean_fit.append(_finite(cols[1]))
+                    mean_len.append(_finite(cols[3]))
                 except (IndexError, ValueError):
                     raise DataError("%s:%d: bad stats row %r" % (stats_path, lineno, line)) from None
     except (OSError, UnicodeDecodeError) as exc:

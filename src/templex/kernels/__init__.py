@@ -6,7 +6,7 @@ Only the pure-Python kernel, ``pykernel.PyScorer``, is built.  The
 returns bit-identical results.  The backend is chosen at import time;
 ``TEMPLEX_KERNEL`` names one, and ``python`` is the only name until such a
 module is built.  The kernels read the tables' ``parent``, ``backoff``,
-``probs`` and ``trans`` (the file stores these and the vocabulary), and
+``probs`` and ``trans`` (loaded from the file with the vocabulary), and
 their ``eos_id`` and ``bos_state``, which are worked out at load.
 """
 

@@ -1,7 +1,7 @@
 """The pure-Python scoring kernel, the only one built.
 
 It walks the packed tables of ``tables.py``: ``parent``, ``backoff``,
-``probs`` and ``trans`` as stored in the file, and ``eos_id`` and
+``probs`` and ``trans`` as loaded from the file, and ``eos_id`` and
 ``bos_state`` as worked out when the tables are made or loaded.  A compiled
 kernel in the ``_native`` slot must return bit-identical results.
 """

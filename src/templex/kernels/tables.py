@@ -36,28 +36,30 @@ than the model's order: a context is at most order - 1 tokens long, and a
 weight on a top-order gram (which an ARPA file may carry) would otherwise
 make an order-1 model's state keep the last token.
 
-``write_tables`` / ``read_tables`` store the tables in a binary file
-(format version 3): a header of magic, version, order, base, ``unk_log10``
-and the block lengths, the vocabulary in id order, then little-endian
-``array`` blocks.  Each distinct log probability and each distinct backoff
-weight is stored once, in a block of 8-byte doubles in first-occurrence
-order; floats are equal when their 8 bytes are, so -0.0 and 0.0 stay apart.
-The ``probs`` values and the ``backoff`` column are 4-byte indexes into
-those blocks, and every other column is 8-byte ints.  A trained model's
-numbers are 4-decimal values, so far fewer are distinct than stored, and
+``write_tables`` / ``read_tables`` store the tables in a binary file (format
+version 4): a header of magic, version, order, base, ``unk_log10`` and the
+block lengths, the vocabulary in id order, then little-endian ``array``
+blocks.  Each distinct log probability and each distinct backoff weight is
+stored once, in a block of 8-byte doubles in first-occurrence order; floats
+are equal when their 8 bytes are, so -0.0 and 0.0 stay apart.  The ``probs``
+values and the ``backoff`` column are 4-byte indexes into those blocks, and
+every other column is 8-byte ints.  Of ``trans`` only the keys are stored:
+``extend`` makes each context but the empty one with the one transition that
+leads to it, so the i-th transition leads to context i + 1, and
+``write_tables`` refuses tables numbered otherwise.  A trained model's
+numbers are 4-decimal values, far fewer distinct than stored;
 ``read_tables`` gives equal numbers one float object, as the ARPA writer
-does at ``train``, and each context id one int object in ``parent`` and the
-``trans`` values.  It rejects a file whose header, lengths or values could
-not come from ``write_tables`` of valid tables, with the value rules
-``read_arpa`` applies to ARPA text; each value block is checked once, and
-each index or link column's range before it is gathered (a negative index
-would wrap in Python).  It loads block by block: it checks the header's
-lengths against the file's size, then reads the vocabulary and each block
-in turn from the open file, and drops each block once its list or dict is
-built, so neither the whole file nor a second copy of a column is held
-beside the tables.  The tables keep lists and dicts rather than arrays,
-because the kernels index them on every query and an array makes a new
-object on each index.
+does at ``train``, and each context id one int object.  It rejects a file
+whose header, lengths or values could not come from ``write_tables`` of
+valid tables, with the value rules ``read_arpa`` applies to ARPA text; each
+value block is checked once, and each index or link column's range before it
+is gathered (a negative index would wrap in Python).  It loads block by
+block: it checks the header's lengths against the file's size, then reads
+the vocabulary and each block in turn from the open file, and drops each
+block once its list or dict is built, so neither the whole file nor a second
+copy of a column is held beside the tables.  The tables keep lists and dicts
+rather than arrays, because the kernels index them on every query and an
+array makes a new object on each index.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ import struct
 import sys
 from array import array
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import islice, repeat
 
 from ..ngram.counts import BOS, EOS
 from .pykernel import PyScorer
@@ -91,7 +93,14 @@ class ScorerTables:
 
     def __post_init__(self):
         self.eos_id = self.encode(EOS)
-        self.bos_state = PyScorer(self).walk(0, [self.encode(BOS)] * (self.order - 1))
+        # a step depends only on the state before it, so stop at a fixed point
+        advance, bos, state = PyScorer(self).advance, self.encode(BOS), 0
+        for _ in range(self.order - 1):
+            nxt = advance(state, bos)
+            if nxt == state:
+                break
+            state = nxt
+        self.bos_state = state
 
     def encode(self, token: str) -> int:
         return self.token_ids.get(token, self.base - 1)
@@ -210,20 +219,20 @@ class MalformedTables(ValueError):
 
 
 MAGIC = b"templex-tables\n\0"
-VERSION = 3
+VERSION = 4
 # magic, version, order, base, unk_log10, then the byte length of the
-# vocabulary, the number of contexts, probs and trans, and the number of
-# distinct log probabilities and of distinct backoff weights
-_HEADER = struct.Struct("<16sI2qd6q")
+# vocabulary, the number of contexts and probs, and the number of distinct
+# log probabilities and of distinct backoff weights
+_HEADER = struct.Struct("<16sI2qd5q")
 # 8-byte signed int, 8-byte IEEE double, 4-byte unsigned index into a value block
 _INT, _FLOAT, _INDEX = "q", "d", "I"
 _SWAP = sys.byteorder != "little"
 
 
-def _blocks(nctx: int, nprobs: int, ntrans: int, nlogprobs: int, nbackoffs: int):
+def _blocks(nctx: int, nprobs: int, nlogprobs: int, nbackoffs: int):
     """(typecode, length) of each block after the vocabulary: the distinct
     log probabilities and backoff weights, then parent, the backoff index of
-    each context, probs keys and value indexes, trans keys and values."""
+    each context, probs keys and value indexes, and trans keys."""
     return (
         (_FLOAT, nlogprobs),
         (_FLOAT, nbackoffs),
@@ -231,8 +240,7 @@ def _blocks(nctx: int, nprobs: int, ntrans: int, nlogprobs: int, nbackoffs: int)
         (_INDEX, nctx),
         (_INT, nprobs),
         (_INDEX, nprobs),
-        (_INT, ntrans),
-        (_INT, ntrans),
+        (_INT, nctx - 1),
     )
 
 
@@ -253,6 +261,9 @@ def write_tables(tables: ScorerTables, path) -> None:
     words = list(tables.token_ids)
     if any("\n" in w for w in words):
         raise ValueError("a token contains a newline, which the vocabulary block cannot hold")
+    trans, nctx = tables.trans, len(tables.parent)
+    if len(trans) != nctx - 1 or any(map(int.__ne__, trans.values(), range(1, nctx))):
+        raise ValueError("the i-th transition must lead to context i + 1, as the file numbers them")
     vocab = "\n".join(words).encode("utf-8")
     logprobs, prob_index = _distinct(tables.probs.values())
     backoffs, backoff_index = _distinct(tables.backoff)
@@ -263,9 +274,8 @@ def write_tables(tables: ScorerTables, path) -> None:
         tables.base,
         tables.unk_log10,
         len(vocab),
-        len(tables.parent),
+        nctx,
         len(tables.probs),
-        len(tables.trans),
         len(logprobs),
         len(backoffs),
     )
@@ -276,10 +286,9 @@ def write_tables(tables: ScorerTables, path) -> None:
         backoff_index,
         tables.probs.keys(),
         prob_index,
-        tables.trans.keys(),
-        tables.trans.values(),
+        trans.keys(),
     )
-    layout = _blocks(len(tables.parent), len(tables.probs), len(tables.trans), len(logprobs), len(backoffs))
+    layout = _blocks(nctx, len(tables.probs), len(logprobs), len(backoffs))
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(vocab)
@@ -306,13 +315,14 @@ def read_tables(path) -> ScorerTables:
             raise MalformedTables(path, "shorter than the header")
         fields = _HEADER.unpack(fh.read(_HEADER.size))
         magic, version, order, base, unk_log10 = fields[:5]
-        nvocab, nctx, nprobs, ntrans, nlogprobs, nbackoffs = fields[5:]
+        nvocab, nctx, nprobs, nlogprobs, nbackoffs = fields[5:]
         if magic != MAGIC:
             raise MalformedTables(path, "not a templex tables file")
         if version != VERSION:
             raise MalformedTables(path, "format version %d, expected %d" % (version, VERSION))
-        layout = _blocks(nctx, nprobs, ntrans, nlogprobs, nbackoffs)
-        if min(nvocab, nctx, nprobs, ntrans, nlogprobs, nbackoffs) < 0 or size != (
+        layout = _blocks(nctx, nprobs, nlogprobs, nbackoffs)
+        # at least the empty context, so no block has a negative length
+        if min(nvocab, nctx - 1, nprobs, nlogprobs, nbackoffs) < 0 or size != (
             _HEADER.size + nvocab + sum(array(typecode).itemsize * n for typecode, n in layout)
         ):
             raise MalformedTables(path, "%d bytes, the header declares other lengths" % size)
@@ -334,23 +344,16 @@ def read_tables(path) -> ScorerTables:
         if not all(map(math.inf.__gt__, backoffs)):
             raise MalformedTables(path, "a backoff weight is NaN or +inf")
         links = next(blocks)
-        if not (
-            nctx >= 1
-            and links[0] == 0
-            and min(links) >= 0
-            and all(map(int.__lt__, links[1:], range(1, nctx)))
-        ):
+        if not (links[0] == 0 and min(links) >= 0 and all(map(int.__lt__, links[1:], range(1, nctx)))):
             raise MalformedTables(path, "a context link points outside the table")
         ids = list(range(nctx))  # the one int object of each context id
         parent = list(map(ids.__getitem__, links))
         del links
         backoff = list(_gather(path, backoffs, next(blocks)))
         probs = dict(zip(next(blocks), _gather(path, logprobs, next(blocks))))
-        keys, targets = next(blocks), next(blocks)
-        if targets and not (min(targets) >= 1 and max(targets) < nctx):
-            raise MalformedTables(path, "a context link points outside the table")
-        trans = dict(zip(keys, map(ids.__getitem__, targets)))
-    if len(probs) != nprobs or len(trans) != ntrans:
+        # the i-th key leads to context i + 1
+        trans = dict(zip(next(blocks), islice(ids, 1, None)))
+    if len(probs) != nprobs or len(trans) != nctx - 1:
         raise MalformedTables(path, "a key is stored twice")
     return ScorerTables(order, base, token_ids, parent, backoff, probs, trans, unk_log10)
 

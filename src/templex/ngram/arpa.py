@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import math
 import re
-from itertools import islice, repeat
+from collections import Counter
+from itertools import repeat
 from typing import IO, Iterable, Iterator
 
 from ..kernels.tables import ScorerTables, TableBuilder
@@ -125,7 +126,6 @@ def read_arpa(stream: Iterable[str]) -> NGramModel:
     lineno, line = _next_content(lines)
     if line != "\\data\\":
         raise MalformedArpa(lineno, "expected \\data\\ header, got %r" % line)
-    order = 0
     for lineno, raw in lines:
         line = raw.strip()
         if not line:
@@ -135,32 +135,25 @@ def read_arpa(stream: Iterable[str]) -> NGramModel:
             raise MalformedArpa(lineno, "bad count declaration %r" % line)
         k, n = int(m.group(1)), int(m.group(2))
         declared[k] = n
-        order = max(order, k)
+    order = max(declared, default=0)
     if order == 0:
         raise MalformedArpa(lineno, "no ngram counts declared")
 
     logprobs: dict[NGram, float] = {}
     backoffs: dict[NGram, float] = {}
-    found: dict[int, int] = {}  # distinct grams per order read so far
-    vocab: set[str] = set()
-    current = start = 0  # the section being read, and len(logprobs) when it began
+    sections: set[int] = set()
+    current = 0  # the section being read
     for lineno, raw in lines:
         line = raw.strip()
         if not line:
             continue
         if line[0] == "\\":  # a marker; entry lines skip the regex
-            m = _SECTION_RE.match(line)
-            if current > 0 and (m or line == "\\end\\"):
-                # the section just read added its new grams as the last keys
-                new = len(logprobs) - start
-                found[current] = found.get(current, 0) + new
-                if current == 1:
-                    vocab.update(g[0] for g in islice(reversed(logprobs), new))
             if line == "\\end\\":
-                current = -1
                 break
+            m = _SECTION_RE.match(line)
             if m:
-                current, start = int(m.group(1)), len(logprobs)
+                current = int(m.group(1))
+                sections.add(current)
                 if current not in declared:
                     raise MalformedArpa(lineno, "section \\%d-grams: was not declared" % current)
                 continue
@@ -187,14 +180,18 @@ def read_arpa(stream: Iterable[str]) -> NGramModel:
             if not bo < math.inf:  # also catches NaN
                 raise MalformedArpa(lineno, "backoff weight %r is not < +inf" % parts[current + 1])
             backoffs[gram] = bo
-    if current != -1:
+    else:
         raise MalformedArpa(lineno, "missing \\end\\ marker")
+    # each section's distinct grams, as a section's grams have its length
+    found = Counter(map(len, logprobs))
     for k, n in declared.items():
-        if found.get(k) != n:
-            raise MalformedArpa(lineno, "declared %d %d-grams, found %d" % (n, k, found.get(k, 0)))
+        if k not in sections:
+            raise MalformedArpa(lineno, "declared %d %d-grams, found 0: no \\%d-grams: section" % (n, k, k))
+        if found[k] != n:
+            raise MalformedArpa(lineno, "declared %d %d-grams, found %d" % (n, k, found[k]))
 
-    vocab.discard(UNK)
-    return NGramModel(order, frozenset(vocab), logprobs, backoffs, logprobs.get((UNK,), LOG_FLOOR))
+    vocab = frozenset(g[0] for g in logprobs if len(g) == 1 and g[0] != UNK)
+    return NGramModel(order, vocab, logprobs, backoffs, logprobs.get((UNK,), LOG_FLOOR))
 
 
 def read_arpa_file(path) -> NGramModel:

@@ -1,6 +1,7 @@
 """ARPA round trips, strictness of the reader, and third-party interop."""
 
 import io
+import itertools
 import random
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import copy_model, float_bits
 from oracles import arpa_seq_logprob, read_arpa_table
-from templex.kernels import build_tables, write_tables
+from templex.kernels import build_tables, make_scorer, read_tables, write_tables
 from templex.ngram import (
     MalformedArpa,
     NGramModel,
@@ -215,6 +216,11 @@ def missing(text, what, repl=""):
         (lambda t: t.replace("<s>\t-0.1000", "<s>\t+inf"), 8, "backoff weight '+inf' is not < +inf"),
         (lambda t: t.replace("\n\\end\\\n", "\n"), 14, "missing \\end\\"),
         (lambda t: t.replace("ngram 2=2", "ngram 2=3"), 15, "declared 3 2-grams, found 2"),
+        (
+            lambda t: t.replace("ngram 2=2", "ngram 2=0").replace("\\2-grams:\n-0.1000\ta b\n-0.1500\t<s> a\n", ""),
+            12,
+            "declared 0 2-grams, found 0: no \\2-grams: section",
+        ),
     ],
 )
 def test_malformed_inputs_report_line_numbers(mutate, lineno, fragment):
@@ -222,6 +228,26 @@ def test_malformed_inputs_report_line_numbers(mutate, lineno, fragment):
         read_arpa(io.StringIO(mutate(HAND_BIGRAM)))
     assert exc.value.lineno == lineno
     assert fragment in str(exc.value)
+
+
+def test_a_huge_declared_order_scores_as_its_real_order(tmp_path):
+    """An empty section of order 2**40: no list of order - 1 start ids is
+    made, through the ARPA reader or a tables file, and every score is that
+    of the same grams declared at their real order."""
+    huge = 2**40
+    text = HAND_BIGRAM.replace("ngram 2=2\n", "ngram 2=2\nngram %d=0\n" % huge)
+    model = read_arpa(io.StringIO(text.replace("\\end\\", "\\%d-grams:\n\n\\end\\" % huge)))
+    assert model.order == huge
+    path = tmp_path / "m.tables"
+    write_tables(build_tables(model), path)
+    loaded = make_scorer(read_tables(path))
+    assert loaded.tables.order == huge
+    real = read_arpa(io.StringIO(HAND_BIGRAM)).scorer
+    for toks in itertools.product(["a", "b", "<s>", "</s>", "oov"], repeat=3):
+        for scorer in (model.scorer, loaded):
+            assert scorer.logprob(toks[:-1], toks[-1]) == real.logprob(toks[:-1], toks[-1])
+            assert scorer.sequence_logprob(toks, True) == real.sequence_logprob(toks, True)
+            assert scorer.sequence_logprob(toks) == real.sequence_logprob(toks)
 
 
 def test_minus_infinity_is_accepted():

@@ -573,7 +573,7 @@ def test_generate_out_of_range_logprob_exits_2(tmp_path, data_dir, capsys):
     assert err == ["error: bad model file: %s: a log probability is NaN or above 0; retrain" % target]
 
 
-@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("version", [1, 2, 3])
 def test_generate_asks_for_a_retrain_on_an_old_tables_format(tmp_path, data_dir, capsys, version):
     path = trained_config(tmp_path, data_dir)
     target = tmp_path / "out" / cli.TOKEN_TABLES_FILE
@@ -583,7 +583,7 @@ def test_generate_asks_for_a_retrain_on_an_old_tables_format(tmp_path, data_dir,
     capsys.readouterr()
     assert main(["generate", "--config", str(path)]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert err == ["error: bad model file: %s: format version %d, expected 3; retrain" % (target, version)]
+    assert err == ["error: bad model file: %s: format version %d, expected 4; retrain" % (target, version)]
 
 
 def set_unigram_backoffs(arpa, value):
@@ -658,8 +658,8 @@ DESK_ARTIFACTS_SHA256 = {
     cli.INVENTORY_FILE: "b72e190572f0c736a709b53d208871644651af5728aa8533a6b6acd811a480c9",
     cli.TOKEN_LM_FILE: "b7917c1945d3dcde45d2b75dea356de8183b667a3aeae72e6434499592db0881",
     cli.SIGNATURE_LM_FILE: "fbc6ca9bf0ad21c54057d7b33899e46a4d9fdfbfcba23c8882aafa98daac8670",
-    cli.TOKEN_TABLES_FILE: "c8c81034a3ce044669928bd8825b249cda4e6a2b1d1613ab98ac500593e13785",
-    cli.SIGNATURE_TABLES_FILE: "7e56d170a5a510f83ae5a9e07dc1fd69c8596cbfa8ff1b732b0795452c699b8e",
+    cli.TOKEN_TABLES_FILE: "2f0311ba44fce157d69cde9dcfb82e655c7d5bf1b9eb8a7a4b7e34d3ed017383",
+    cli.SIGNATURE_TABLES_FILE: "e45323a9dacdca3329530f26d2f6f35ee98161f77f0078455e1382051e4902ea",
     cli.STATS_FILE: "70929ad5d40055f88f1e7951c9a24e641773d8efe42b5b0ba2b04c7510fae9e2",
     cli.POPULATION_FILE: "32dcea1f480eb16fb98b5eecb73625a23095f3de3d9172e90b9d689e2a003623",
 }
@@ -803,9 +803,22 @@ def test_inspect_corrupt_population_exits_2(tmp_path, data_dir, capsys, populati
 def test_inspect_bad_fitness_field_exits_2(tmp_path, capsys):
     out = tmp_path / "out"
     out.mkdir()
-    (out / cli.POPULATION_FILE).write_text("a\tNP\tnot-a-number\n", encoding="utf-8")
+    # a good stats file, so that the fitness alone decides the outcome
+    (out / cli.STATS_FILE).write_text("%s\n0,0.1,0.2,1.5,0.1\n" % cli.STATS_HEADER, encoding="utf-8")
+    for fitness in ("not-a-number", "nan", "inf", "-inf"):
+        (out / cli.POPULATION_FILE).write_text("a\tNP\t%s\n" % fitness, encoding="utf-8")
+        assert main(["inspect", str(out)]) == 2
+        assert "%s:1: bad fitness %r" % (out / cli.POPULATION_FILE, fitness) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row", ["1,inf,0.2,1.5,0.1", "1,0.2,0.2,nan,0.1"], ids=["inf-fitness", "nan-length"])
+def test_inspect_non_finite_stats_row_exits_2(tmp_path, capsys, row):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / cli.POPULATION_FILE).write_text("a\tNP\t0.5\n", encoding="utf-8")
+    (out / cli.STATS_FILE).write_text("%s\n0,0.1,0.2,1.5,0.1\n%s\n" % (cli.STATS_HEADER, row), encoding="utf-8")
     assert main(["inspect", str(out)]) == 2
-    assert "bad fitness" in capsys.readouterr().err
+    assert "%s:3: bad stats row %r" % (out / cli.STATS_FILE, row) in capsys.readouterr().err
 
 
 def test_inspect_unrecognized_stats_header_exits_2(tmp_path, capsys):

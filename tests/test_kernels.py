@@ -241,10 +241,12 @@ def test_tables_match_the_reference_on_pruned_models(model):
 def assert_no_transition_leaves_a_full_context(t):
     """``advance`` relies on this: a context of order - 1 tokens is never
     extended, so from one the first ``trans`` lookup misses and the walk
-    backs off to a context that can take the next token."""
+    backs off to a context that can take the next token.  The tables file
+    relies on the transitions leading to contexts 1, 2, ... in order."""
     ctx_len = context_lengths(t)
     full = [key for key in t.trans if ctx_len[key // t.base] >= t.order - 1]
     assert full == [], (t.order, full[:5])
+    assert list(t.trans.values()) == list(range(1, len(t.parent)))
 
 
 def test_no_transition_leaves_a_full_context(tmp_path, token_lm3, sig_lm5, desk_token_seqs, data_dir):
@@ -453,6 +455,8 @@ def scorer_tables(draw):
     base = len(words) + 1
     n = draw(st.integers(1, 10))
     key = st.integers(-(2**63), 2**63 - 1)
+    # the file numbers the transitions: the i-th leads to context i + 1
+    trans_keys = draw(st.lists(key, unique=True, min_size=n - 1, max_size=n - 1))
     # a few fixed values, so that equal numbers (and zeros of both signs)
     # recur within one table, as they do in a trained model
     logprob = st.one_of(st.sampled_from((0.0, -0.0, -1.5, -math.inf)), st.floats(max_value=0.0))
@@ -466,7 +470,7 @@ def scorer_tables(draw):
         parent=[0] + [draw(st.integers(0, c - 1)) for c in range(1, n)],
         backoff=draw(st.lists(weight, min_size=n, max_size=n)),
         probs=draw(st.dictionaries(key, logprob, max_size=20)),
-        trans=draw(st.dictionaries(key, st.integers(1, n - 1), max_size=20)) if n > 1 else {},
+        trans=dict(zip(trans_keys, range(1, n))),
         unk_log10=draw(logprob),
     )
 
@@ -543,6 +547,15 @@ def vocabulary_without_base(b, t):
     return _HEADER.pack(*fields) + b"hello\nworld" + b[_HEADER.size + nvocab :]
 
 
+def no_contexts(b, t):
+    """The header declares no contexts, not even the empty one, and the file
+    is as long as that would make it if a block could hold -1 trans keys."""
+    fields = list(_HEADER.unpack_from(b))
+    fields[6] = 0
+    size = _HEADER.size + fields[5] + sum(array(tc).itemsize * n for tc, n in _blocks(*fields[6:]))
+    return (_HEADER.pack(*fields) + b[_HEADER.size :])[:size]
+
+
 def overwrite(block, fmt, value, item=0):
     """Damage that overwrites item ``item`` (negative counts from the end)
     of block ``block`` of the layout with ``value`` packed as ``fmt``; a
@@ -563,7 +576,7 @@ def overwrite(block, fmt, value, item=0):
 
 
 # blocks of the layout, in file order (see _blocks)
-LOGPROBS, BACKOFFS, PARENT, BACKOFF_INDEX, PROBS_KEYS, PROBS_INDEX = range(6)
+LOGPROBS, BACKOFFS, PARENT, BACKOFF_INDEX, PROBS_KEYS, PROBS_INDEX, TRANS_KEYS = range(7)
 
 
 @pytest.mark.parametrize(
@@ -576,10 +589,12 @@ LOGPROBS, BACKOFFS, PARENT, BACKOFF_INDEX, PROBS_KEYS, PROBS_INDEX = range(6)
         (lambda b, t: b"x" + b[1:], "not a templex tables file"),
         (lambda b, t: b[: len(MAGIC)] + struct.pack("<I", 99) + b[len(MAGIC) + 4 :], "format version 99"),
         (vocabulary_without_base, "vocabulary does not match its header"),
-        (overwrite(PROBS_INDEX, "<I", lambda f: f[9]), "a value index points past its block"),
+        (overwrite(PROBS_INDEX, "<I", lambda f: f[8]), "a value index points past its block"),
         (overwrite(PROBS_INDEX, "<I", 2**32 - 1, -1), "a value index points past its block"),
-        (overwrite(BACKOFF_INDEX, "<I", lambda f: f[10], -1), "a value index points past its block"),
+        (overwrite(BACKOFF_INDEX, "<I", lambda f: f[9], -1), "a value index points past its block"),
         (overwrite(PARENT, "<q", -1, -1), "context link"),
+        (no_contexts, "the header declares other lengths"),
+        (lambda b, t: overwrite(TRANS_KEYS, "<q", next(iter(t.trans)), -1)(b, t), "a key is stored twice"),
         (overwrite(LOGPROBS, "<d", math.nan, -1), "log probability is NaN or above 0"),
         (overwrite(LOGPROBS, "<d", 0.5), "log probability is NaN or above 0"),
         (overwrite(BACKOFFS, "<d", math.inf, -1), "backoff weight is NaN or \\+inf"),
@@ -596,6 +611,8 @@ LOGPROBS, BACKOFFS, PARENT, BACKOFF_INDEX, PROBS_KEYS, PROBS_INDEX = range(6)
         "prob-index-all-ones",
         "backoff-index-past-block",
         "negative-parent",
+        "no-contexts",
+        "trans-key-twice",
         "nan-logprob-block",
         "positive-logprob-block",
         "inf-backoff-block",
@@ -621,7 +638,6 @@ def test_read_tables_rejects_damaged_bytes(tmp_path, sig_lm5, damage, reason):
         (lambda t: {"backoff": t.backoff[:-1] + [math.nan]}, "backoff weight is NaN or \\+inf"),
         (lambda t: {"parent": t.parent[:-1] + [len(t.parent) - 1]}, "context link"),
         (lambda t: {"parent": t.parent[:-1] + [-1]}, "context link"),
-        (lambda t: {"trans": t.trans | {0: len(t.parent)}}, "context link"),
         (lambda t: {"base": t.base + 1}, "vocabulary does not match"),
         (lambda t: {"order": 0}, "vocabulary does not match"),
         # one bad number shared by every entry: the value block holds it once
@@ -643,3 +659,24 @@ def test_write_tables_refuses_a_word_with_a_newline(tmp_path, sig_lm5):
     bad = rewritten(tables, token_ids=dict(tables.token_ids, **{"a\nb": tables.base - 1}))
     with pytest.raises(ValueError, match="newline"):
         write_tables(bad, tmp_path / "m.tables")
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda t: t.trans | {0: len(t.parent)},  # a link past the table
+        lambda t: dict(reversed(t.trans.items())),
+        lambda t: dict(list(t.trans.items())[:-1]),  # a context no transition leads to
+        lambda t: t.trans | {-1: 1},
+    ],
+    ids=["past-the-table", "reversed", "one-short", "one-more"],
+)
+def test_write_tables_refuses_transitions_out_of_context_order(tmp_path, sig_lm5, change):
+    """The file stores no transition's target: the i-th leads to context
+    i + 1, so tables whose transitions are numbered otherwise are refused
+    rather than written as other tables."""
+    tables = build_tables(sig_lm5)
+    path = tmp_path / "m.tables"
+    with pytest.raises(ValueError, match="context i \\+ 1"):
+        write_tables(rewritten(tables, trans=change(tables)), path)
+    assert not path.exists()
