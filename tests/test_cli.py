@@ -635,19 +635,52 @@ def test_generate_truncated_artifact_exits_2(tmp_path, data_dir, capsys, name):
     assert main(["generate", "--config", str(path)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
-    assert name in err[0] and "sha256" in err[0], err
+    assert name in err[0] and "blake2b" in err[0], err
     assert not (out / cli.STATS_FILE).exists()
 
 
 def test_generate_without_recorded_digests_exits_2(tmp_path, data_dir, capsys):
     path = trained_config(tmp_path, data_dir)
     manifest = tmp_path / "out" / cli.MANIFEST_FILE
-    kept = [x for x in manifest.read_text(encoding="utf-8").splitlines() if not x.startswith("sha256.")]
+    kept = [x for x in manifest.read_text(encoding="utf-8").splitlines() if not x.startswith("blake2b.")]
     manifest.write_text("\n".join(kept) + "\n", encoding="utf-8")
     capsys.readouterr()
     assert main(["generate", "--config", str(path)]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and "records no sha256" in err[0] and "retrain" in err[0], err
+    assert len(err) == 1 and "records no blake2b digest" in err[0] and "retrain" in err[0], err
+
+
+def test_generate_asks_for_a_retrain_on_a_sha256_manifest(tmp_path, data_dir, capsys):
+    # the manifest train wrote when it hashed with sha256
+    path = trained_config(tmp_path, data_dir)
+    out = tmp_path / "out"
+    values = {
+        key: value
+        for key, value in manifest_values(out).items()
+        if not key.startswith("blake2b.")
+    }
+    corpus = (data_dir / "desk.conll").read_bytes()
+    values["config_hash"] = hashlib.sha256(corpus + b"\nfactor=absolute:2\norders=3:5").hexdigest()
+    for name in cli.ARTIFACT_FILES:
+        values["sha256.%s" % name] = str(int(hashlib.sha256((out / name).read_bytes()).hexdigest(), 16))
+    (out / cli.MANIFEST_FILE).write_text("".join("%s=%s\n" % kv for kv in values.items()), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["generate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "retrain" in err[0], err
+    assert values["config_hash"] in err[0], err
+    assert not (out / cli.STATS_FILE).exists()
+
+
+def test_train_and_generate_load_no_openssl():
+    # import hashlib loads OpenSSL's libcrypto, 3.6 MiB of resident memory;
+    # the check runs train and generate in a fresh interpreter and reads
+    # its sys.modules
+    proc = subprocess.run(
+        [sys.executable, str(CHECKOUT / "tools" / "no_openssl.py")], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout == "ok: train and generate imported neither hashlib nor _hashlib\n"
 
 
 # sha256 of every file train and a short generate write of
@@ -695,13 +728,16 @@ def test_generate_parses_no_arpa_file(tmp_path, data_dir, monkeypatch):
     assert main(["generate", "--config", str(path)]) == 0
 
 
-def test_train_records_each_artifacts_sha256(tmp_path, data_dir):
+def test_train_records_each_artifacts_blake2b(tmp_path, data_dir):
     trained_config(tmp_path, data_dir)
     out = tmp_path / "out"
     values = manifest_values(out)
     for name in cli.ARTIFACT_FILES:
-        hexdigest = hashlib.sha256((out / name).read_bytes()).hexdigest()
+        hexdigest = hashlib.blake2b((out / name).read_bytes(), digest_size=32).hexdigest()
         assert int(values[cli.DIGEST_KEY % name]) == int(hexdigest, 16)
+    settings = b"\nfactor=absolute:2\norders=3:5"
+    corpus = (data_dir / "desk.conll").read_bytes()
+    assert values["config_hash"] == hashlib.blake2b(corpus + settings, digest_size=32).hexdigest()
     # every manifest value but the config hash is a number
     assert all(v.isdigit() for k, v in values.items() if k != "config_hash")
     assert not list(out.glob("*.tmp"))

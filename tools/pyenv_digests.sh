@@ -1,5 +1,5 @@
 #!/bin/sh
-# Seed-0 digest check under every pyenv Python >= 3.10.
+# Seed-0 digest and import-footprint check under every pyenv Python >= 3.10.
 #
 #     tools/pyenv_digests.sh
 #
@@ -14,11 +14,13 @@
 # version passes only when its outputs are byte-identical to the recorded
 # ones.  The reference digests cover no .tables file, so after each run the
 # sha256 of the six .tables files it trained is printed, and the versions'
-# digests are compared with each other.  Prints one line per version, then
-# its .tables digests; each run's full output is kept in a fresh temporary
-# directory, named at the end.  Exits 1 when a version fails or its .tables
-# digests differ from the first version's, and 2 when no such interpreter is
-# found.
+# digests are compared with each other.  Each version also runs
+# tools/no_openssl.py, which trains and generates on the desk corpus in
+# process and fails when hashlib or _hashlib (OpenSSL) was imported.  Prints
+# one line per version, then its footprint line and its .tables digests;
+# each run's full output is kept in a fresh temporary directory, named at the
+# end.  Exits 1 when a version fails either check or its .tables digests
+# differ from the first version's, and 2 when no such interpreter is found.
 
 set -u
 root=$(cd "$(dirname "$0")/.." && pwd)
@@ -54,6 +56,10 @@ except (ValueError, KeyError):
     print("no result line")
 ')
     echo "$version: $result ($summary)"
+    if ! "$py" tools/no_openssl.py >"$logs/$version.footprint" 2>&1; then
+        status=1
+    fi
+    sed 's/^/  /' "$logs/$version.footprint"
     tables=$logs/$version.tables
     "$py" -c '
 import hashlib, pathlib
