@@ -409,7 +409,7 @@ def cmd_generate(cfg: RunConfig) -> int:
     _check_digests(outdir, manifest)
     try:
         with open(outdir / INVENTORY_FILE, encoding="utf-8") as fh:
-            inventory = parse_inventory_lines(fh)
+            inventory = parse_inventory_lines(fh.read())
     except OSError as exc:
         raise DataError("cannot read inventory: %s" % exc) from None
     except MalformedLine as exc:

@@ -14,7 +14,9 @@ and into every chromosome surface, so no corpus word may have a gap's form.
 from __future__ import annotations
 
 import re
+from array import array
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple
 
@@ -61,10 +63,9 @@ class Template:
     merged occurrence count within one inventory.
 
     An inventory holds tens of thousands of templates, so a template has
-    slots and no ``__dict__``, and equal strings are one object across an
-    inventory: ``parse_conll`` and ``parse_inventory_lines`` map each word
-    and tag to the first object seen with its value, and factoring interns
-    its gaps.
+    slots and no ``__dict__``, and equal strings are one object across a
+    mined inventory: ``parse_conll`` maps each word and tag to the first
+    object seen with its value, and factoring interns its gaps.
     """
 
     items: tuple[str, ...]
@@ -78,10 +79,12 @@ class TemplateInventory:
     """Unique templates with counts, plus each sentence's template sequence.
 
     ``sentence_sequences`` holds, per input sentence, the indices into
-    ``templates`` of the chunks covering it, in order.
+    ``templates`` of the chunks covering it, in order.  A mined inventory's
+    ``templates`` is a list; a loaded one's makes each template when it is
+    read (see ``parse_inventory_lines``).
     """
 
-    templates: list[Template]
+    templates: Sequence[Template]
     sentence_sequences: list[tuple[int, ...]]
 
     def signature_sequences(self) -> list[tuple[str, ...]]:
@@ -221,41 +224,76 @@ def inventory_lines(inv: TemplateInventory) -> Iterator[str]:
         yield "%d\t%s\t%s" % (count, tag, items)
 
 
-def parse_inventory_lines(lines: Iterable[str]) -> TemplateInventory:
-    """Load a serialized inventory.
+def _fields(lineno: int, line: str) -> tuple[tuple[str, ...], str, int]:
+    """The items, tag and count of inventory line ``lineno`` (without its
+    newline); raises MalformedLine as ``parse_inventory_lines`` documents."""
+    cols = line.split("\t")
+    if len(cols) != 3:
+        raise MalformedLine(lineno, line, "expected 3 tab-separated fields, got %d" % len(cols))
+    count_s, tag, items_s = cols
+    try:
+        count = int(count_s)
+    except ValueError:
+        raise MalformedLine(lineno, line, "bad count %r" % count_s) from None
+    if count < 1:
+        raise MalformedLine(lineno, line, "count must be >= 1, got %d" % count)
+    if tag.split() != [tag]:
+        raise MalformedLine(lineno, line, "tag must be one word, got %r" % tag)
+    items = tuple(items_s.split(" "))
+    if "" in items:
+        raise MalformedLine(lineno, line, "empty item")
+    if tag in RESERVED or not RESERVED.isdisjoint(items):
+        raise MalformedLine(lineno, line, "tag or item is a reserved model symbol")
+    return items, tag, count
+
+
+class _LoadedTemplates(Sequence[Template]):
+    """The templates of an inventory file's text: ``[i]`` parses the i-th
+    non-blank line, which begins at ``starts[i]``, into a new Template, so
+    the inventory holds no object per line.  Every line was checked when the
+    text was loaded."""
+
+    __slots__ = ("_text", "_starts")
+
+    def __init__(self, text: str, starts: array):
+        self._text = text
+        self._starts = starts
+
+    def __len__(self) -> int:
+        return len(self._starts)
+
+    def __getitem__(self, i: int) -> Template:
+        text = self._text
+        start = self._starts[i]
+        end = text.find("\n", start)
+        return Template(*_fields(0, text[start : end if end >= 0 else len(text)]))
+
+
+def parse_inventory_lines(text: str) -> TemplateInventory:
+    """Load a serialized inventory from its text.
 
     The text format carries no POS and no per-sentence sequences, so loaded
     templates have an empty ``pos`` and ``sentence_sequences`` is empty; that
-    is all generation needs.  Raises MalformedLine for a wrong field count,
-    a count that is not an integer >= 1, an empty tag or one containing
-    whitespace, an empty item, or a tag or item that is a reserved model
-    symbol (``<s>``, ``</s>``, ``<unk>``; a gap such as ``__<unk>__`` is
-    legal).
+    is all generation needs.  Lines end at a newline character alone, as a
+    file read in text mode splits them; blank lines are skipped but counted
+    in the line numbers of errors.  Every line is checked here, and the
+    inventory keeps the text and each line's start: a template is made each
+    time ``templates[i]`` is read.  Raises MalformedLine for a
+    wrong field count, a count that is not an integer >= 1, an empty tag or
+    one containing whitespace, an empty item, or a tag or item that is a
+    reserved model symbol (``<s>``, ``</s>``, ``<unk>``; a gap such as
+    ``__<unk>__`` is legal).
     """
-    templates: list[Template] = []
-    # each item and tag mapped to its first object, so equal strings are one
-    seen: dict[str, str] = {}
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\n")
-        if not line:
-            continue
-        cols = line.split("\t")
-        if len(cols) != 3:
-            raise MalformedLine(lineno, line, "expected 3 tab-separated fields, got %d" % len(cols))
-        count_s, tag, items_s = cols
-        try:
-            count = int(count_s)
-        except ValueError:
-            raise MalformedLine(lineno, line, "bad count %r" % count_s) from None
-        if count < 1:
-            raise MalformedLine(lineno, line, "count must be >= 1, got %d" % count)
-        if tag.split() != [tag]:
-            raise MalformedLine(lineno, line, "tag must be one word, got %r" % tag)
-        words = items_s.split(" ")
-        items = tuple(map(seen.setdefault, words, words))
-        if "" in items:
-            raise MalformedLine(lineno, line, "empty item")
-        if tag in RESERVED or not RESERVED.isdisjoint(items):
-            raise MalformedLine(lineno, line, "tag or item is a reserved model symbol")
-        templates.append(Template(items, seen.setdefault(tag, tag), count))
-    return TemplateInventory(templates, [])
+    starts = array("q")
+    start, size = 0, len(text)
+    lineno = 0
+    while start < size:
+        lineno += 1
+        end = text.find("\n", start)
+        if end < 0:
+            end = size
+        if end > start:
+            _fields(lineno, text[start:end])
+            starts.append(start)
+        start = end + 1
+    return TemplateInventory(_LoadedTemplates(text, starts), [])

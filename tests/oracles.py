@@ -3,8 +3,9 @@
 Everything in this file is written straight from the textbook definitions and
 imports nothing from the package under test: counting is the obvious
 quadratic window scan, factoring decides each word on its own count or rank,
-smoothing is the literal recursive interpolation, and ARPA scoring is the
-standard recursive backoff rule over string tuples.
+smoothing is the literal recursive interpolation, ARPA scoring is the
+standard recursive backoff rule over string tuples, and an inventory file is
+parsed eagerly, one line at a time.
 Slow and simple on purpose.
 """
 
@@ -17,6 +18,44 @@ from types import SimpleNamespace
 BOS = "<s>"
 EOS = "</s>"
 UNK = "<unk>"
+RESERVED = frozenset((BOS, EOS, UNK))
+
+
+class OracleMalformedLine(ValueError):
+    """A bad inventory line, with the message ``MalformedLine`` gives."""
+
+    def __init__(self, lineno, text, reason):
+        super().__init__("line %d: %s (%r)" % (lineno, reason, text))
+
+
+def parse_inventory(lines):
+    """(items, tag, count) of every non-blank line of an inventory file
+    iterated line by line, in order; the eager loader the package had before
+    it kept the file's text."""
+    templates = []
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.rstrip("\n")
+        if not line:
+            continue
+        cols = line.split("\t")
+        if len(cols) != 3:
+            raise OracleMalformedLine(lineno, line, "expected 3 tab-separated fields, got %d" % len(cols))
+        count_s, tag, items_s = cols
+        try:
+            count = int(count_s)
+        except ValueError:
+            raise OracleMalformedLine(lineno, line, "bad count %r" % count_s) from None
+        if count < 1:
+            raise OracleMalformedLine(lineno, line, "count must be >= 1, got %d" % count)
+        if tag.split() != [tag]:
+            raise OracleMalformedLine(lineno, line, "tag must be one word, got %r" % tag)
+        items = tuple(items_s.split(" "))
+        if "" in items:
+            raise OracleMalformedLine(lineno, line, "empty item")
+        if tag in RESERVED or not RESERVED.isdisjoint(items):
+            raise OracleMalformedLine(lineno, line, "tag or item is a reserved model symbol")
+        templates.append((items, tag, count))
+    return templates
 
 
 def brute_count(sequences, order):

@@ -620,6 +620,36 @@ def test_generate_fitness_overflow_exits_2(tmp_path, data_dir, capsys):
     assert not (tmp_path / "out" / cli.STATS_FILE).exists()
 
 
+def test_generate_reads_the_inventory_file_as_text(tmp_path, data_dir, capsys):
+    path = trained_config(tmp_path, data_dir)
+    out = tmp_path / "out"
+    inventory = out / cli.INVENTORY_FILE
+    assert main(["generate", "--config", str(path)]) == 0
+    want = {name: (out / name).read_bytes() for name in (cli.STATS_FILE, cli.POPULATION_FILE)}
+    # a blank line and a count with a sign still load to the same templates
+    lines = inventory.read_text(encoding="utf-8").splitlines()
+    count, rest = lines[2].split("\t", 1)
+    lines[2] = "+%s\t%s" % (count, rest)
+    lines.insert(1, "")
+    inventory.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    reseal(out)
+    for name in want:
+        (out / name).unlink()
+    assert main(["generate", "--config", str(path)]) == 0
+    for name, blob in want.items():
+        assert (out / name).read_bytes() == blob, name
+    # the blank line counts toward the line number of a bad line after it
+    (out / cli.STATS_FILE).unlink()
+    lines[4] = "1\tNP\tthe  cat"
+    inventory.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    reseal(out)
+    capsys.readouterr()
+    assert main(["generate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: %s: line 5: " % inventory), err
+    assert not (out / cli.STATS_FILE).exists()
+
+
 def truncate_at_a_line(path):
     """Drop the second half of a file's lines, as an interrupted copy might."""
     lines = path.read_bytes().splitlines(keepends=True)

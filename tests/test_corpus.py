@@ -1,6 +1,7 @@
 """Ingestion: 3-column parsing, chunk extraction, counts, serialization."""
 
 import io
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,6 +19,8 @@ from templex.corpus import (
     token_counts,
 )
 from templex.factoring import FactorPolicy
+
+from oracles import OracleMalformedLine, parse_inventory
 
 
 def test_minimal_two_token_sentence():
@@ -224,7 +227,7 @@ def test_inventory_lines_sorted_by_count_then_lexicographic(desk_inventory):
 
 def test_inventory_roundtrip_through_text(desk_inventory):
     lines = list(inventory_lines(desk_inventory))
-    loaded = parse_inventory_lines(lines)
+    loaded = parse_inventory_lines("\n".join(lines) + "\n")
     assert len(loaded.templates) == len(lines)
     original = sorted(
         (t.tag, " ".join(t.items), t.count) for t in desk_inventory.templates
@@ -235,27 +238,92 @@ def test_inventory_roundtrip_through_text(desk_inventory):
 
 def test_parse_inventory_rejects_bad_lines():
     with pytest.raises(MalformedLine):
-        parse_inventory_lines(["1\tNP"])
+        parse_inventory_lines("1\tNP")
     with pytest.raises(MalformedLine):
-        parse_inventory_lines(["x\tNP\tthe cat"])
+        parse_inventory_lines("x\tNP\tthe cat")
     # counts below 1, empty items, blank or spaced tags and reserved model
     # symbols only come from a damaged file
     for line in ["0\tNP\tthe cat", "-4\tVP\truns", "3\tNP\t", "2\tPP\tin  the",
                  "1\t\tthe", "2\tN P\tcat", "1\t<unk>\tthe", "1\t</s>\tthe",
                  "2\tNP\tthe <unk>", "2\tNP\t<s> cat"]:
         with pytest.raises(MalformedLine):
-            parse_inventory_lines([line])
+            parse_inventory_lines(line + "\n")
 
 
 def test_parse_inventory_accepts_a_gap_of_a_reserved_pos():
-    (t,) = parse_inventory_lines(["3\tNP\tthe __<unk>__"]).templates
+    (t,) = parse_inventory_lines("3\tNP\tthe __<unk>__\n").templates
     assert t.items == ("the", "__<unk>__")
 
 
-def test_parse_inventory_shares_equal_strings():
-    a, b = parse_inventory_lines(["2\tNP\tthe cat", "1\tNP\tthe dog"]).templates
-    assert a.items[0] is b.items[0]
-    assert a.tag is b.tag
+def test_loaded_inventory_keeps_at_most_16_bytes_a_line():
+    n = 20_000
+    text = "".join("%d\tNP\tw%d the x%d\n" % (n - i, i, i) for i in range(n))
+    tracemalloc.start()
+    try:
+        inv = parse_inventory_lines(text)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(inv.templates) == n
+    assert kept <= 16 * n, kept
+
+
+_count = st.integers(1, 10**6).map(str)
+# valid counts int() reads that inventory_lines never writes
+_odd_count = st.sampled_from(["+2", "02", " 3", "1_0"])
+_inv_tag = st.sampled_from(["NP", "VP", "O", "__NP__"])
+# items may hold characters other than "\n" that str.splitlines() breaks at,
+# and whitespace other than " "
+_inv_word = st.text(alphabet="ab_<>/\x0b\x1c\x85\u00a0\u2028", min_size=1, max_size=4)
+_inv_items = st.lists(_inv_word, min_size=1, max_size=3).map(" ".join)
+
+
+@st.composite
+def _inventory_line(draw, count):
+    return "%s\t%s\t%s" % (draw(count), draw(_inv_tag), draw(_inv_items))
+
+
+_bad_line = st.one_of(
+    st.sampled_from([
+        "2\tNP", "2\tNP\tthe\tcat",  # 2 and 4 fields
+        "0\tNP\tthe", "-1\tNP\tthe", "x\tNP\tthe",
+        "1\t\tthe", "1\tN P\tthe",  # empty and spaced tag
+        "1\tNP\tthe  cat", "1\tNP\tthe ",  # double and trailing space
+        "1\t<s>\tthe", "1\t</s>\tthe", "1\t<unk>\tthe",
+        "1\tNP\t<s>", "1\tNP\tthe </s>", "1\tNP\t<unk> cat",
+    ]),
+    _inventory_line(st.sampled_from(["0", "-1", "x", "1.5"])),
+)
+_good_line = st.one_of(
+    _inventory_line(_count),
+    _inventory_line(_odd_count),
+    st.just("1\tNP\t__<unk>__"),
+    st.just(""),  # blank
+)
+
+
+@st.composite
+def _inventory_text(draw):
+    lines = draw(st.lists(_good_line, max_size=8))
+    bad = draw(st.none() | _bad_line)
+    if bad is not None:
+        lines.insert(draw(st.integers(0, len(lines))), bad)
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n"]))
+
+
+@given(_inventory_text())
+def test_parse_inventory_matches_the_eager_oracle(text):
+    try:
+        want = parse_inventory(io.StringIO(text))
+    except OracleMalformedLine as exc:
+        with pytest.raises(MalformedLine) as got:
+            parse_inventory_lines(text)
+        assert str(got.value) == str(exc)
+        return
+    inv = parse_inventory_lines(text)
+    assert [(t.items, t.tag, t.count, t.pos) for t in list(inv.templates)] == [
+        (items, tag, count, ()) for items, tag, count in want
+    ]
 
 
 def test_template_has_slots_and_no_dict():
