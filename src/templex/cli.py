@@ -46,6 +46,7 @@ from .corpus import (
 )
 from .factoring import (
     ABSOLUTE,
+    NONE,
     RELATIVE,
     FactorPolicy,
     bare_factors,
@@ -98,7 +99,7 @@ class ManifestMismatch(DataError):
 class RunConfig:
     corpus: Path
     outdir: Path
-    policy: FactorPolicy | None  # None = keep templates fully lexical
+    policy: FactorPolicy
     token_lm_order: int
     signature_lm_order: int
     ga: GAConfig
@@ -171,20 +172,19 @@ def load_run_config(path: Path) -> RunConfig:
             % (path, OUTDIR_ENV)
         )
 
-    mode = values.get("factor.mode", "none")
-    if mode == "none":
+    mode = values.get("factor.mode", NONE)
+    if mode == NONE:
         if "factor.threshold" in values:
             raise ConfigError("factor.threshold is only valid with factor.mode=absolute|relative")
-        policy = None
     elif mode in (ABSOLUTE, RELATIVE):
         if "factor.threshold" not in values:
             raise ConfigError("factor.mode=%s requires factor.threshold" % mode)
-        try:
-            policy = FactorPolicy(mode, _value(values, "factor.threshold", 0))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
     else:
         raise ConfigError("factor.mode must be none, absolute, or relative (got %r)" % mode)
+    try:
+        policy = FactorPolicy(mode, _value(values, "factor.threshold", 0))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
     token_order = _value(values, "token_lm_order", 3)
     sig_order = _value(values, "signature_lm_order", 5)
@@ -208,10 +208,11 @@ def config_hash(cfg: RunConfig) -> str:
         digest.update(cfg.corpus.read_bytes())
     except OSError as exc:
         raise DataError("cannot read corpus %s: %s" % (cfg.corpus, exc)) from None
-    mode = cfg.policy.mode if cfg.policy else "none"
-    threshold = cfg.policy.threshold if cfg.policy else 0
     digest.update(
-        ("\nfactor=%s:%d\norders=%d:%d" % (mode, threshold, cfg.token_lm_order, cfg.signature_lm_order)).encode()
+        (
+            "\nfactor=%s:%d\norders=%d:%d"
+            % (cfg.policy.mode, cfg.policy.threshold, cfg.token_lm_order, cfg.signature_lm_order)
+        ).encode()
     )
     return digest.hexdigest()
 
@@ -219,8 +220,8 @@ def config_hash(cfg: RunConfig) -> str:
 def resolved_config_lines(cfg: RunConfig):
     yield "corpus=%s" % cfg.corpus
     yield "outdir=%s" % cfg.outdir
-    yield "factor.mode=%s" % (cfg.policy.mode if cfg.policy else "none")
-    if cfg.policy:
+    yield "factor.mode=%s" % cfg.policy.mode
+    if cfg.policy.mode != NONE:
         yield "factor.threshold=%d" % cfg.policy.threshold
     yield "token_lm_order=%d" % cfg.token_lm_order
     yield "signature_lm_order=%d" % cfg.signature_lm_order
@@ -297,13 +298,10 @@ def cmd_train(cfg: RunConfig) -> int:
     n_sentences = len(sentences)
     inventory = extract_templates(sentences)
     raw_unique = len(inventory.templates)
-    if cfg.policy is not None:
-        kept = cfg.policy.kept(token_counts(sentences))
-        inventory = factor_inventory(inventory, kept)
-        token_seqs = factored_token_stream(sentences, kept)
-        del kept
-    else:
-        token_seqs = [[t.surface for t in s] for s in sentences]
+    kept = cfg.policy.kept(token_counts(sentences))
+    inventory = factor_inventory(inventory, kept)
+    token_seqs = factored_token_stream(sentences, kept)
+    del kept
     del sentences  # the token stream and the inventory hold all that is left to use
 
     outdir = cfg.outdir

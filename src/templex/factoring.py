@@ -1,9 +1,9 @@
 """Template factoring: replace rare words with their POS gap.
 
 A policy decides once, from the corpus word counts, which words it keeps
-(``FactorPolicy.kept``); every other word, seen or not, gaps.  Two
-thresholding strategies:
+(``FactorPolicy.kept``); every other word, seen or not, gaps.  Three modes:
 
+* none -- keep every counted word, so templates stay fully lexical;
 * absolute -- keep every word whose corpus count is at least the threshold;
 * relative -- keep the ``threshold`` most frequent words, ties broken
   lexicographically (every word whose frequency rank is at most the
@@ -21,23 +21,29 @@ from typing import Iterable, Mapping
 
 from .corpus import GAP_RE, AnnotatedSentence, Template, TemplateInventory
 
+NONE = "none"
 ABSOLUTE = "absolute"
 RELATIVE = "relative"
 
 
 @dataclass(frozen=True)
 class FactorPolicy:
-    mode: str  # ABSOLUTE or RELATIVE
-    threshold: int
+    mode: str  # NONE, ABSOLUTE or RELATIVE
+    threshold: int = 0  # 0 for NONE, at least 1 otherwise
 
     def __post_init__(self):
-        if self.mode not in (ABSOLUTE, RELATIVE):
+        if self.mode not in (NONE, ABSOLUTE, RELATIVE):
             raise ValueError("unknown factoring mode %r" % self.mode)
-        if self.threshold < 1:
+        if self.mode == NONE:
+            if self.threshold != 0:
+                raise ValueError("mode none takes no threshold, got %d" % self.threshold)
+        elif self.threshold < 1:
             raise ValueError("threshold must be >= 1, got %d" % self.threshold)
 
     def kept(self, counts: Mapping[str, int]) -> frozenset[str]:
         """The counted words this policy does not gap; every other word gaps."""
+        if self.mode == NONE:
+            return frozenset(counts)
         if self.mode == ABSOLUTE:
             return frozenset(w for w, c in counts.items() if c >= self.threshold)
         return frozenset(sorted(counts, key=lambda w: (-counts[w], w))[: self.threshold])

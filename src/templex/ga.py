@@ -43,7 +43,8 @@ A tournament round consumes, in order: one ``sample()`` of tournament_size
 population indices, then for every ordered pair (outer index, inner index,
 skipping equal) one ``random()`` for the junction gate, and for each accepted
 pair one ``random()`` for the mutation gate plus one ``randrange()`` when the
-mutation fires.  Population initialization consumes one ``randrange()`` per
+mutation fires.  A sample of the chromosomes draws as a sample of their
+indices does.  Population initialization consumes one ``randrange()`` per
 chromosome.  Identical seed, config, and corpus therefore replay exactly.
 """
 
@@ -52,6 +53,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import reduce
+from itertools import permutations
 from operator import add
 from statistics import fmean, pstdev
 from typing import Callable, Iterator, NamedTuple, Sequence
@@ -308,22 +310,17 @@ def init_population(
 def tournament_round(
     state: GAState, cfg: GAConfig, inventory: TemplateInventory, rng: random.Random
 ) -> list[Chromosome]:
-    """One tournament: all ordered pairs of a random sample, junction-gated
-    crossover, mutation, then the nbest offspring by fitness (ties keep
-    production order)."""
+    """One tournament: every ordered pair of a random sample of the
+    population, junction-gated crossover, mutation, then the nbest offspring
+    by fitness (ties keep production order)."""
     scorer, sig_scorer = state.scorer, state.sig_scorer
-    idxs = rng.sample(range(len(state.population)), cfg.tournament_size)
-    sample = [state.population[i] for i in idxs]
     offspring: list[Chromosome] = []
-    for i, p in enumerate(sample):
-        for j, q in enumerate(sample):
-            if i == j:
-                continue
-            if rng.random() < junction_probability(scorer, p, q):
-                child = crossover(p, q, scorer, sig_scorer)
-                child = mutate(child, inventory, cfg, scorer, sig_scorer, rng)
-                child.fitness = fitness(child, sig_scorer, cfg)
-                offspring.append(child)
+    for p, q in permutations(rng.sample(state.population, cfg.tournament_size), 2):
+        if rng.random() < junction_probability(scorer, p, q):
+            child = crossover(p, q, scorer, sig_scorer)
+            child = mutate(child, inventory, cfg, scorer, sig_scorer, rng)
+            child.fitness = fitness(child, sig_scorer, cfg)
+            offspring.append(child)
     offspring.sort(key=lambda c: -c.fitness)
     return offspring[: cfg.nbest]
 
@@ -331,13 +328,13 @@ def tournament_round(
 def evolve_generation(
     state: GAState, cfg: GAConfig, inventory: TemplateInventory, rng: random.Random
 ) -> GAState:
-    """Accumulate tournament offspring for half the population, then keep the
-    fittest half of the parents plus the fittest offspring, padding with
-    further parents if the pair budget ran out first."""
-    pop_size = cfg.population_size
-    need = (pop_size + 1) // 2
+    """Accumulate tournament offspring for the other half of the population,
+    then keep the fittest half of the parents plus the fittest offspring,
+    padded with the next-fittest parents if the pair budget ran out first."""
+    half = cfg.population_size // 2
+    need = cfg.population_size - half
     pairs_per_round = cfg.tournament_size * (cfg.tournament_size - 1)
-    pair_cap = PAIR_CAP_FACTOR * pop_size
+    pair_cap = PAIR_CAP_FACTOR * cfg.population_size
     offspring: list[Chromosome] = []
     pairs = 0
     while len(offspring) < need and pairs < pair_cap:
@@ -345,10 +342,7 @@ def evolve_generation(
         pairs += pairs_per_round
     parents = sorted(state.population, key=lambda c: -c.fitness)
     offspring.sort(key=lambda c: -c.fitness)
-    next_pop = parents[: pop_size // 2] + offspring[: pop_size - pop_size // 2]
-    if len(next_pop) < pop_size:
-        shortfall = pop_size - len(next_pop)
-        next_pop.extend(parents[pop_size // 2 : pop_size // 2 + shortfall])
+    next_pop = parents[:half] + (offspring + parents[half:])[:need]
     generation = state.generation + 1
     return GAState(
         generation,

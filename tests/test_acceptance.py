@@ -7,6 +7,7 @@ loop, and byte-level reproducibility of the artifacts.  Run with ``-v`` to
 get one pass/fail line per claim.
 """
 
+import hashlib
 import math
 import random
 import time
@@ -16,7 +17,16 @@ import pytest
 from templex import cli
 from templex.corpus import Template, extract_templates
 from templex.factoring import FactorPolicy, factor_inventory
-from templex.ga import GAConfig, crossover, fitness, make_chromosome, mutate, run
+from templex.ga import (
+    GAConfig,
+    crossover,
+    fitness,
+    make_chromosome,
+    mutate,
+    population_lines,
+    run,
+    stats_csv_lines,
+)
 from templex.ngram import read_arpa_file
 
 from oracles import NaiveKN, brute_count
@@ -176,7 +186,9 @@ def test_full_scale_evolution_invariants_hold_for_100_generations(sweep_setup):
     invariants for 100 generations: exact population size throughout, cached
     fitness values that recompute identically on 1,000 sampled chromosomes,
     from their carried summaries and from a fresh walk of their templates,
-    the fittest parent surviving every replacement, all inside 5 minutes."""
+    the fittest parent surviving every replacement, all inside 5 minutes.
+    Its stats and final population are pinned byte for byte: no other test
+    evolves chromosomes this long (about 572 templates at generation 100)."""
     inventory, token_lm, sig_lm = sweep_setup
     assert 9_000 <= len(inventory.templates) <= 14_000
     cfg = GAConfig(
@@ -207,6 +219,10 @@ def test_full_scale_evolution_invariants_hold_for_100_generations(sweep_setup):
     assert len(result.stats) == 101
     best = [s.max_fitness for s in result.stats]
     assert all(a <= b + 1e-15 for a, b in zip(best, best[1:]))
+    lines = [*stats_csv_lines(result.stats), *population_lines(result.population)]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "065a004651b85b13bba7eda03c78aedf726dd0ecfe21f4ad07ea83985ae0b9ed"
+    )
 
     rng = random.Random(4242)
     for c in rng.sample(result.population, 1000):

@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import os
+import re
 import shutil
 import struct
 import subprocess
@@ -24,6 +25,7 @@ from templex.cli import (
     parse_config_text,
     sparkline,
 )
+from templex.factoring import FactorPolicy
 from templex.ga import GAConfig
 from templex.kernels import build_tables, read_tables, write_tables
 from templex.kernels.tables import MAGIC
@@ -158,7 +160,7 @@ def test_defaults_applied(tmp_path, data_dir):
         "corpus=%s\noutdir=out\n" % (data_dir / "desk.conll"), encoding="utf-8"
     )
     cfg = load_run_config(path)
-    assert cfg.policy is None
+    assert cfg.policy == FactorPolicy("none")
     assert (cfg.token_lm_order, cfg.signature_lm_order) == (3, 5)
     assert cfg.ga.population_size == 1000
     assert cfg.ga.generations == 100
@@ -233,14 +235,21 @@ def test_train_writes_all_artifacts(tmp_path, data_dir, capsys):
 
 
 def test_manifest_counts_identity_policy(tmp_path, data_dir):
-    path = write_config(
-        tmp_path, data_dir, **{"factor.mode": "none", "factor.threshold": None}
-    )
-    assert main(["train", "--config", str(path)]) == 0
-    values = manifest_values(tmp_path / "out")
-    assert values["sentences"] == "55"
-    # no factoring: the factored inventory is the raw inventory
-    assert values["templates_raw"] == values["templates_factored"]
+    """Mode none keeps every counted word, as absolute threshold 1 does: both
+    count no factoring and write the same artifacts byte for byte."""
+    blobs = []
+    for mode, threshold in (("none", None), ("absolute", "1")):
+        path = write_config(
+            tmp_path, data_dir, name=mode + ".cfg", outdir=mode,
+            **{"factor.mode": mode, "factor.threshold": threshold},
+        )
+        assert main(["train", "--config", str(path)]) == 0
+        values = manifest_values(tmp_path / mode)
+        assert values["sentences"] == "55"
+        # no factoring: the factored inventory is the raw inventory
+        assert values["templates_raw"] == values["templates_factored"]
+        blobs.append({name: (tmp_path / mode / name).read_bytes() for name in cli.ARTIFACT_FILES})
+    assert blobs[0] == blobs[1]
 
 
 def test_manifest_counts_factored_policy(tmp_path, data_dir):
@@ -933,6 +942,31 @@ def test_inspect_top_below_1_exits_1(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == ["error: --top must be >= 1, got %s" % top]
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_session_replays(tmp_path, data_dir, monkeypatch, capsys):
+    """The README's example config, run on the desk corpus as its console
+    session shows, prints every line of that session but the ``wrote`` lines,
+    whose paths depend on the directory."""
+    text = README.read_text(encoding="utf-8")
+    (config,) = re.findall(r"```ini\n(.*?)```", text, re.S)
+    (session,) = re.findall(r"```console\n(.*?)```", text, re.S)
+    shutil.copy(data_dir / "desk.conll", tmp_path / "corpus.conll")
+    (tmp_path / "run.cfg").write_text(config, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    printed = []
+    for line in session.splitlines():
+        if line.startswith("$ templex "):
+            assert main(line.split()[2:]) == 0, line
+            printed += [line, *capsys.readouterr().out.splitlines()]
+
+    def shown(lines):
+        return [line for line in lines if not line.startswith("wrote ")]
+
+    assert shown(printed) == shown(session.splitlines())
 
 
 # ------------------------------------------------------------------ exit codes

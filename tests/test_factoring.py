@@ -65,6 +65,14 @@ def test_policy_validation():
         FactorPolicy("sometimes", 3)
 
 
+def test_none_policy_keeps_every_counted_word(desk_counts):
+    policy = FactorPolicy("none")
+    assert policy.threshold == 0
+    assert policy.kept(desk_counts) == frozenset(desk_counts)
+    with pytest.raises(ValueError):
+        FactorPolicy("none", 1)
+
+
 def test_identity_policy_preserves_inventory(desk_inventory, desk_counts):
     # every corpus word has count >= 1, so count < 1 never triggers
     out = factor_inventory(desk_inventory, FactorPolicy("absolute", 1).kept(desk_counts))

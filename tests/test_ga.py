@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats as sps
 
+from templex import ga
 from templex.corpus import Template, extract_templates
 from templex.ga import (
     Chromosome,
@@ -605,6 +606,33 @@ def test_rejecting_model_falls_back_to_parents(desk_factored_inventory, sig_lm5)
     nxt = evolve_generation(state, cfg, desk_factored_inventory, rng)
     assert nxt.generation == 1
     assert nxt.population == parents  # cap hit, population carried over whole
+
+
+def test_pair_cap_pads_partial_offspring_with_next_parents(
+    desk_factored_inventory, token_lm3, sig_lm5, monkeypatch
+):
+    # a cap of 16 pairs stops the generation after two 12-pair rounds, which
+    # yield at most 2 offspring each: fewer than the 8 that fill the half
+    monkeypatch.setattr(ga, "PAIR_CAP_FACTOR", 1)
+    cfg = default_cfg(population_size=16, tournament_size=4, nbest=2)
+    rng = random.Random(0)
+    state = init_population(desk_factored_inventory, cfg, token_lm3.scorer, sig_lm5.scorer, rng)
+    replay = random.Random()
+    replay.setstate(rng.getstate())
+
+    nxt = evolve_generation(state, cfg, desk_factored_inventory, rng)
+
+    offspring = []
+    for _ in range(2):
+        offspring += tournament_round(state, cfg, desk_factored_inventory, replay)
+    offspring.sort(key=lambda c: -c.fitness)
+    parents = sorted(state.population, key=lambda c: -c.fitness)
+    want = parents[:8] + offspring + parents[8 : 16 - len(offspring)]
+    assert 0 < len(offspring) < 8
+    assert [(items(c), c.fitness) for c in nxt.population] == [
+        (items(c), c.fitness) for c in want
+    ]
+    assert rng.getstate() == replay.getstate()
 
 
 def test_pair_cap_scales_with_population():
