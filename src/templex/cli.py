@@ -54,7 +54,7 @@ from .factoring import (
     factored_token_stream,
 )
 from .ga import STATS_HEADER, FitnessOverflow, GAConfig, population_lines, run, stats_csv_lines
-from .kernels import DEFAULT_BACKEND, MalformedTables, available_backends, read_tables, write_tables
+from .kernels import MalformedTables, read_tables, write_tables
 # generate reads no ARPA; read_arpa_file stays because perfbench/tracing.py wraps it by name
 from .ngram import read_arpa_file, train, write_arpa_file  # noqa: F401
 
@@ -391,11 +391,6 @@ def _check_digests(outdir: Path, manifest: dict[str, str]) -> None:
 
 
 def cmd_generate(cfg: RunConfig) -> int:
-    if DEFAULT_BACKEND not in available_backends():
-        raise ConfigError(
-            "TEMPLEX_KERNEL=%s names no built kernel backend (available: %s)"
-            % (DEFAULT_BACKEND, ", ".join(available_backends()))
-        )
     outdir = cfg.outdir
     manifest = _read_manifest(outdir)
     expected = config_hash(cfg)

@@ -1,35 +1,36 @@
 """Scoring kernels over the packed tables of ``tables.py``.
 
-Only the pure-Python kernel, ``pykernel.PyScorer``, is built.  The
-``_native`` import is the slot a compiled kernel fills: a module
-``templex.kernels._native`` whose ``NativeScorer`` has the same methods and
-returns bit-identical results.  The backend is chosen at import time;
-``TEMPLEX_KERNEL`` names one, and ``python`` is the only name until such a
-module is built.  The kernels read the tables' ``parent``, ``backoff``,
-``probs`` and ``trans`` (loaded from the file with the vocabulary), and
-their ``eos_id`` and ``bos_state``, which are worked out at load.
+The pure-Python kernel, ``pykernel.PyScorer``, is always there.  A compiled
+kernel is a module ``templex.kernels._native`` whose ``NativeScorer`` has the
+same methods and returns bit-identical results; none is built yet.  The
+default backend is the one that is built: ``native`` when that module
+imports, ``python`` when it is absent.  A ``_native`` module that is present
+but fails to import, or has no ``NativeScorer``, raises here, so a broken
+build is an error, not a silent fall back to Python.
+``make_scorer(model, backend)`` picks a backend by name.  The kernels read
+the tables' ``parent``, ``backoff``, ``probs`` and ``trans`` (loaded from the
+file with the vocabulary), and their ``eos_id`` and ``bos_state``, which are
+worked out at load.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Sequence
 
 from .pykernel import PyScorer
 from .tables import MalformedTables, ScorerTables, build_tables, read_tables, write_tables
 
+_KERNELS = {"python": PyScorer}
 try:
     from ._native import NativeScorer
-except ImportError:  # no compiled kernel is built
+except ModuleNotFoundError as exc:
+    if exc.name != __name__ + "._native":  # _native is there but imports a missing module
+        raise
     NativeScorer = None
-
-_KERNELS = {"python": PyScorer}
-if NativeScorer is not None:
+else:
     _KERNELS["native"] = NativeScorer
 
-DEFAULT_BACKEND = os.environ.get("TEMPLEX_KERNEL") or (
-    "native" if NativeScorer is not None else "python"
-)
+DEFAULT_BACKEND = "native" if NativeScorer is not None else "python"
 
 
 def available_backends() -> tuple[str, ...]:

@@ -3,8 +3,8 @@
 import gc
 import io
 import math
-import os
 import random
+import shutil
 import struct
 import subprocess
 import sys
@@ -37,27 +37,16 @@ from templex.kernels.tables import (
 )
 from templex.ngram import BOS, NGramModel, read_arpa, read_arpa_file, train, write_arpa
 
-from helpers import copy_model, float_bits
+from helpers import CHECKOUT, child_env, copy_model, float_bits
 from oracles import reference_tables
 
 HAVE_NATIVE = "native" in available_backends()
 needs_native = pytest.mark.skipif(not HAVE_NATIVE, reason="compiled kernel not built")
 
-CHECKOUT_SRC = Path(__file__).resolve().parent.parent / "src"
-
-
-def backend_env(name):
-    """The environment for a child that imports this checkout's templex."""
-    env = dict(os.environ, TEMPLEX_KERNEL=name)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(CHECKOUT_SRC), env.get("PYTHONPATH")) if p
-    )
-    return env
-
 
 def test_python_backend_always_available():
     assert "python" in available_backends()
-    assert DEFAULT_BACKEND in available_backends()
+    assert DEFAULT_BACKEND == ("native" if HAVE_NATIVE else "python")
 
 
 def test_unknown_backend_rejected(token_lm3):
@@ -395,26 +384,44 @@ def test_per_token_scores_sum_to_sequence(token_lm3):
     assert total == pytest.approx(sc.sequence_logprob(toks, False), abs=1e-12)
 
 
-def test_env_var_forces_backend(tmp_path):
-    prog = (
-        "import templex.kernels as k\n"
-        "print(k.DEFAULT_BACKEND)\n"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", prog],
-        env=backend_env("python"), capture_output=True, text=True, check=True,
-    )
-    assert out.stdout.strip() == "python"
+def copy_without_native(tmp_path):
+    """A copy of this checkout's ``src/`` with no ``templex.kernels._native``
+    in it, built or not, for a child to import."""
+    src = tmp_path / "src"
+    shutil.copytree(CHECKOUT / "src", src, ignore=shutil.ignore_patterns("__pycache__", "_native*"))
+    return src
 
 
-@needs_native
-def test_env_var_native_selected(tmp_path):
-    prog = "import templex.kernels as k; print(k.DEFAULT_BACKEND)"
+def test_absent_native_module_selects_python(tmp_path):
+    src = copy_without_native(tmp_path)
+    prog = "import templex.kernels as k; print(k.DEFAULT_BACKEND, k.__file__, sep='\\n')"
     out = subprocess.run(
-        [sys.executable, "-c", prog],
-        env=backend_env("native"), capture_output=True, text=True, check=True,
+        [sys.executable, "-c", prog], env=child_env(src), capture_output=True, text=True, check=True,
     )
-    assert out.stdout.strip() == "native"
+    backend, path = out.stdout.splitlines()
+    assert backend == "python"
+    assert src in Path(path).parents  # the child imported the copy
+
+
+@pytest.mark.parametrize(
+    "source, error",
+    [
+        ('raise ImportError("undefined symbol")\n', "ImportError: undefined symbol"),
+        ("import _no_such_dependency\n", "No module named '_no_such_dependency'"),
+        ("x = 1\n", "cannot import name 'NativeScorer'"),
+    ],
+    ids=["raises", "missing-dependency", "no-scorer"],
+)
+def test_broken_native_module_is_an_import_error(tmp_path, source, error):
+    # only an absent _native means no compiled kernel; a present one that
+    # does not import must not fall back to Python in silence
+    src = copy_without_native(tmp_path)
+    (src / "templex" / "kernels" / "_native.py").write_text(source, encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-c", "import templex.kernels"], env=child_env(src), capture_output=True, text=True,
+    )
+    assert proc.returncode != 0
+    assert error in proc.stderr, proc.stderr
 
 
 def test_model_scorer_respects_explicit_backend_without_cache_clobber(token_lm3):

@@ -17,10 +17,13 @@
 # digests are compared with each other.  Each version also runs
 # tools/no_openssl.py, which trains and generates on the desk corpus in
 # process and fails when hashlib or _hashlib (OpenSSL) was imported.  Prints
-# one line per version, then its footprint line and its .tables digests;
+# one line per version, naming the scoring backend that version imports
+# (templex.kernels.DEFAULT_BACKEND, so whether the digests come from the
+# native or the Python kernel), then its footprint line and its .tables digests;
 # each run's full output is kept in a fresh temporary directory, named at the
-# end.  Exits 1 when a version fails either check or its .tables digests
-# differ from the first version's, and 2 when no such interpreter is found.
+# end.  Exits 1 when a version fails either check, cannot import
+# templex.kernels or its .tables digests differ from the first version's,
+# and 2 when no such interpreter is found.
 
 set -u
 root=$(cd "$(dirname "$0")/.." && pwd)
@@ -55,7 +58,17 @@ try:
 except (ValueError, KeyError):
     print("no result line")
 ')
-    echo "$version: $result ($summary)"
+    # a templex.kernels that does not import fails the version, as its run does
+    if ! backend=$("$py" -c '
+import sys
+sys.path.insert(0, "src")
+import templex.kernels
+print(templex.kernels.DEFAULT_BACKEND)
+' 2>>"$log"); then
+        backend="none (templex.kernels does not import)"
+        status=1
+    fi
+    echo "$version: $result ($summary) on backend $backend"
     if ! "$py" tools/no_openssl.py >"$logs/$version.footprint" 2>&1; then
         status=1
     fi
