@@ -10,7 +10,7 @@ five files, and ``generate`` checks them before it parses anything, so an
 artifact truncated or edited since ``train`` is an error, not a different
 run.  Both hashes are CPython's built-in BLAKE2b (``_blake2``, the same
 object ``hashlib.blake2b`` returns): ``import hashlib`` loads OpenSSL's
-libcrypto, about 3.6 MiB of resident memory that no command needs.
+libcrypto, which then stays resident although no command needs it.
 ``train`` hashes the settings before it parses the corpus and again before
 it writes the manifest, so a corpus edited while it runs is an error, not a
 manifest over artifacts of another corpus.  Every file is written to a
@@ -257,9 +257,9 @@ def artifact_digests(outdir: Path) -> dict[str, str]:
 
     A digest is written as a decimal integer: every manifest value except
     config_hash is a number, and perfbench/run.py reads them as counts.
-    The built-in BLAKE2b hashes the train-large workload's 9.7 MB of
-    artifacts in 18-19 ms on two shared vCPUs; OpenSSL's sha256 takes about
-    11 ms, but importing it takes 3.4 ms longer and keeps 3.6 MiB resident.
+    OpenSSL's sha256 hashes faster than the built-in BLAKE2b, but
+    ``import hashlib`` takes longer than importing ``_blake2`` and keeps
+    libcrypto resident.
     """
     digests = {}
     for name in ARTIFACT_FILES:
@@ -405,7 +405,7 @@ def cmd_generate(cfg: RunConfig) -> int:
             inventory = parse_inventory_lines(fh.read())
     except OSError as exc:
         raise DataError("cannot read inventory: %s" % exc) from None
-    except MalformedLine as exc:
+    except (UnicodeDecodeError, MalformedLine) as exc:
         raise DataError("%s: %s" % (outdir / INVENTORY_FILE, exc)) from None
     if not inventory.templates:
         raise DataError("%s lists no templates" % (outdir / INVENTORY_FILE))

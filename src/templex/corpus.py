@@ -247,11 +247,26 @@ def _fields(lineno: int, line: str) -> tuple[tuple[str, ...], str, int]:
     return items, tag, count
 
 
+# The canonical form of an inventory line, which ``inventory_lines`` writes:
+# a count of 1 to 18 digits without a sign or a leading zero, a tag with no
+# whitespace, and items without a tab joined by single spaces, neither tag
+# nor item a reserved model symbol.  ``_fields`` accepts every such line.
+# ``_UNVOUCHED_RE`` finds each other non-blank line, for ``_fields`` to judge:
+# it may still be valid, as a count of ``+3`` or ``02`` is.  A longer count
+# is left to ``_fields`` too, because int() may refuse one of thousands of
+# digits.
+_RESERVED = "|".join(map(re.escape, sorted(RESERVED)))
+_ITEM = r"(?!(?:%s)(?: |$))[^ \t\n]+" % _RESERVED
+_UNVOUCHED_RE = re.compile(
+    r"^(?![1-9][0-9]{0,17}\t(?!(?:%s)\t)\S+\t%s(?: %s)*$)[^\n]" % (_RESERVED, _ITEM, _ITEM), re.MULTILINE
+)
+
+
 class _LoadedTemplates(Sequence[Template]):
     """The templates of an inventory file's text: ``[i]`` parses the i-th
     non-blank line, which begins at ``starts[i]``, into a new Template, so
-    the inventory holds no object per line.  Every line was checked when the
-    text was loaded."""
+    the inventory holds no object per line, and a slice gives a list of
+    templates.  Every line was checked when the text was loaded."""
 
     __slots__ = ("_text", "_starts")
 
@@ -262,7 +277,9 @@ class _LoadedTemplates(Sequence[Template]):
     def __len__(self) -> int:
         return len(self._starts)
 
-    def __getitem__(self, i: int) -> Template:
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
         text = self._text
         start = self._starts[i]
         end = text.find("\n", start)
@@ -276,24 +293,23 @@ def parse_inventory_lines(text: str) -> TemplateInventory:
     templates have an empty ``pos`` and ``sentence_sequences`` is empty; that
     is all generation needs.  Lines end at a newline character alone, as a
     file read in text mode splits them; blank lines are skipped but counted
-    in the line numbers of errors.  Every line is checked here, and the
-    inventory keeps the text and each line's start: a template is made each
-    time ``templates[i]`` is read.  Raises MalformedLine for a
-    wrong field count, a count that is not an integer >= 1, an empty tag or
-    one containing whitespace, an empty item, or a tag or item that is a
-    reserved model symbol (``<s>``, ``</s>``, ``<unk>``; a gap such as
-    ``__<unk>__`` is legal).
+    in the line numbers of errors.  Every line is checked here: one pattern
+    scan of the whole text finds each line that is not in the canonical form
+    ``inventory_lines`` writes, and ``_fields``, the one rule for a line,
+    judges each line the scan flags.  The inventory keeps the text and each
+    line's start, and a template is made each time ``templates[i]`` is read.
+    Raises MalformedLine for a wrong field count, a count that is not an
+    integer >= 1, an empty tag or one containing whitespace, an empty item,
+    or a tag or item that is a reserved model symbol (``<s>``, ``</s>``,
+    ``<unk>``; a gap such as ``__<unk>__`` is legal).
     """
-    starts = array("q")
-    start, size = 0, len(text)
-    lineno = 0
-    while start < size:
-        lineno += 1
-        end = text.find("\n", start)
-        if end < 0:
-            end = size
-        if end > start:
-            _fields(lineno, text[start:end])
-            starts.append(start)
-        start = end + 1
+    lineno, at = 1, 0  # the number of the line that offset ``at`` is on
+    while (flagged := _UNVOUCHED_RE.search(text, at)) is not None:
+        start = flagged.start()
+        lineno += text.count("\n", at, start)
+        at = text.find("\n", start)
+        if at < 0:
+            at = len(text)
+        _fields(lineno, text[start:at])
+    starts = array("q", map(re.Match.start, re.finditer(r"^[^\n]", text, re.MULTILINE)))
     return TemplateInventory(_LoadedTemplates(text, starts), [])

@@ -71,6 +71,7 @@ import sys
 from array import array
 from dataclasses import dataclass, field
 from itertools import islice, repeat
+from operator import ge, gt, lt
 
 from ..ngram.counts import BOS, EOS
 from .pykernel import PyScorer
@@ -338,13 +339,13 @@ def read_tables(path) -> ScorerTables:
         # dict is built (keys first, then values: the order of the file)
         blocks = (_read_block(fh, typecode, n) for typecode, n in layout)
         logprobs = next(blocks).tolist()
-        if not (unk_log10 <= 0.0 and all(map((0.0).__ge__, logprobs))):
+        if not (unk_log10 <= 0.0 and all(map(ge, repeat(0.0), logprobs))):
             raise MalformedTables(path, "a log probability is NaN or above 0")
         backoffs = next(blocks).tolist()
-        if not all(map(math.inf.__gt__, backoffs)):
+        if not all(map(gt, repeat(math.inf), backoffs)):
             raise MalformedTables(path, "a backoff weight is NaN or +inf")
         links = next(blocks)
-        if not (links[0] == 0 and min(links) >= 0 and all(map(int.__lt__, links[1:], range(1, nctx)))):
+        if not (links[0] == 0 and min(links) >= 0 and all(map(lt, links[1:], range(1, nctx)))):
             raise MalformedTables(path, "a context link points outside the table")
         ids = list(range(nctx))  # the one int object of each context id
         parent = list(map(ids.__getitem__, links))

@@ -38,6 +38,10 @@ from .model import NGramModel
 
 _CLAMP_EPS = 1e-6
 _FALLBACK = (0.5, 0.5, 0.5)
+# A context's numbers of seen continuations with a count of 1, of 2 and of 3
+# or more, packed 40 bits apart in one int (see ``_kind`` and ``_seen_mass``):
+# one int a context where a list of its counts would take a list object.
+_FIELD = (1 << 40) - 1
 
 
 # (D1, D2, D3+) per order; index 0 is the unigram level
@@ -92,7 +96,7 @@ def train_kn(counts: NGramCounts, discounts: Discounts) -> NGramModel:
     d1 = discounts[0]
     used1 = counts.used[0]
     total = sum(used1.values())
-    seen1 = _seen_mass(used1.values(), d1)
+    seen1 = _seen_mass(sum(map(_kind, used1.values())), d1)
     gamma1 = seen1 / total
     uniform = 1.0 / nvocab
     for w in sorted(vocab):
@@ -129,15 +133,15 @@ def _add_order(
     return the backoff weight gamma of each of their contexts.  The per-order
     maps are local, so they are freed when the order is done."""
     denom: dict[NGram, int] = {}
-    ctx_counts: dict[NGram, list[int]] = {}
+    kinds: dict[NGram, int] = {}
     for g, c in usedk.items():
         h = g[:-1]
         denom[h] = denom.get(h, 0) + c
-        ctx_counts.setdefault(h, []).append(c)
+        kinds[h] = kinds.get(h, 0) + _kind(c)
     gamma: dict[NGram, float] = {
-        h: _seen_mass(cs, dk) / denom[h] for h, cs in ctx_counts.items()
+        h: _seen_mass(n, dk) / denom[h] for h, n in kinds.items()
     }
-    del ctx_counts
+    del kinds
     for g, c in usedk.items():
         h = g[:-1]
         probs[g] = (
@@ -147,17 +151,15 @@ def _add_order(
     return gamma
 
 
-def _seen_mass(cs, d: tuple[float, float, float]) -> float:
-    """Total discount mass removed from a context's seen continuations."""
-    n1 = n2 = n3p = 0
-    for c in cs:
-        if c == 1:
-            n1 += 1
-        elif c == 2:
-            n2 += 1
-        else:
-            n3p += 1
-    return d[0] * n1 + d[1] * n2 + d[2] * n3p
+def _kind(c: int) -> int:
+    """A continuation count as a term of a packed sum (see ``_FIELD``)."""
+    return 1 if c == 1 else 1 << 40 if c == 2 else 1 << 80
+
+
+def _seen_mass(n: int, d: tuple[float, float, float]) -> float:
+    """Total discount mass removed from a context's seen continuations,
+    given the packed sum ``n`` of their ``_kind``."""
+    return d[0] * (n & _FIELD) + d[1] * (n >> 40 & _FIELD) + d[2] * (n >> 80)
 
 
 def train(sequences, order: int) -> NGramModel:

@@ -569,6 +569,19 @@ def test_generate_bad_inventory_tag_exits_2(tmp_path, data_dir, capsys, bad):
     assert len(lines) == 1 and lines[0].startswith("error: ") and "tag" in lines[0], lines
 
 
+def test_generate_inventory_not_utf8_exits_2(tmp_path, data_dir, capsys):
+    path = trained_config(tmp_path, data_dir)
+    inventory = tmp_path / "out" / cli.INVENTORY_FILE
+    inventory.write_bytes(inventory.read_bytes() + b"1\tNP\tcaf\xe9\n")
+    reseal(tmp_path / "out")
+    capsys.readouterr()
+    assert main(["generate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: %s: " % inventory), err
+    assert "utf-8" in err[0], err
+    assert not (tmp_path / "out" / cli.STATS_FILE).exists()
+
+
 def test_generate_out_of_range_logprob_exits_2(tmp_path, data_dir, capsys):
     path = trained_config(tmp_path, data_dir)
     target = tmp_path / "out" / cli.TOKEN_TABLES_FILE

@@ -261,26 +261,61 @@ def test_loaded_inventory_keeps_at_most_16_bytes_a_line():
     tracemalloc.start()
     try:
         inv = parse_inventory_lines(text)
-        kept, _ = tracemalloc.get_traced_memory()
+        kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert len(inv.templates) == n
     assert kept <= 16 * n, kept
+    # the load itself holds no object a line either: a list of the lines
+    # takes about 80 bytes a line, and one regex match over the whole text
+    # with a repeated group several hundred (the engine's repeat stack)
+    assert peak <= 16 * n, peak
+
+
+def test_scan_leaves_lines_deep_in_a_large_text_to_the_line_rule():
+    n = 20_000
+    lines = ["%d\tNP\tw%d the" % (n - i, i) for i in range(n)]
+    lines[15_000] = "+3\tNP\todd 02"  # valid, though not as train writes it
+    inv = parse_inventory_lines("\n".join(lines) + "\n")
+    t = inv.templates[15_000]
+    assert (t.items, t.tag, t.count) == (("odd", "02"), "NP", 3)
+    assert inv.templates[15_001].count == n - 15_001
+    bad = lines[:18_000] + ["", "", ""] + ["7\tNP\tthe  cat"] + lines[18_000:]
+    with pytest.raises(MalformedLine) as exc:
+        parse_inventory_lines("\n".join(bad))
+    assert exc.value.lineno == 18_004
+    assert str(exc.value).startswith("line 18004: empty item")
+
+
+_SLICED = parse_inventory_lines("".join("%d\tNP\tw%d\n" % (9 - i, i) for i in range(9)))
+_bound = st.none() | st.integers(-12, 12)
+
+
+@given(_bound, _bound, st.none() | st.integers(-4, 4).filter(bool))
+def test_loaded_templates_slice_to_a_list(start, stop, step):
+    got = _SLICED.templates[start:stop:step]
+    want = list(_SLICED.templates)[start:stop:step]
+    assert isinstance(got, list)
+    assert [(t.items, t.tag, t.count) for t in got] == [(t.items, t.tag, t.count) for t in want]
 
 
 _count = st.integers(1, 10**6).map(str)
-# valid counts int() reads that inventory_lines never writes
-_odd_count = st.sampled_from(["+2", "02", " 3", "1_0"])
+# counts inventory_lines never writes: valid ones int() reads, one longer than
+# the load's pattern vouches for, and one past int()'s default digit limit
+_odd_count = st.sampled_from(["+2", "02", " 3", "1_0", "1" * 19, "1" * 5000])
 _inv_tag = st.sampled_from(["NP", "VP", "O", "__NP__"])
+# tags that str.split() breaks at Unicode whitespace: the load's pattern must
+# agree with it on what is whitespace
+_spaced_tag = st.sampled_from(["N P", "N\u00a0P", "N\x1cP", "N\x85P", "N\u2028P", "N\rP"])
 # items may hold characters other than "\n" that str.splitlines() breaks at,
 # and whitespace other than " "
-_inv_word = st.text(alphabet="ab_<>/\x0b\x1c\x85\u00a0\u2028", min_size=1, max_size=4)
+_inv_word = st.text(alphabet="ab_<>/\r\x0b\x1c\x85\u00a0\u2028", min_size=1, max_size=4)
 _inv_items = st.lists(_inv_word, min_size=1, max_size=3).map(" ".join)
 
 
 @st.composite
-def _inventory_line(draw, count):
-    return "%s\t%s\t%s" % (draw(count), draw(_inv_tag), draw(_inv_items))
+def _inventory_line(draw, count, tag=_inv_tag):
+    return "%s\t%s\t%s" % (draw(count), draw(tag), draw(_inv_items))
 
 
 _bad_line = st.one_of(
@@ -291,8 +326,10 @@ _bad_line = st.one_of(
         "1\tNP\tthe  cat", "1\tNP\tthe ",  # double and trailing space
         "1\t<s>\tthe", "1\t</s>\tthe", "1\t<unk>\tthe",
         "1\tNP\t<s>", "1\tNP\tthe </s>", "1\tNP\t<unk> cat",
+        "\r", "\r\r",  # not blank: only "\n" ends a line
     ]),
     _inventory_line(st.sampled_from(["0", "-1", "x", "1.5"])),
+    _inventory_line(_count, _spaced_tag),
 )
 _good_line = st.one_of(
     _inventory_line(_count),
