@@ -1,13 +1,21 @@
 """The pure-Python scoring kernel, the only one built.
 
 It walks the packed tables of ``tables.py``: ``parent``, ``backoff``,
-``probs`` and ``trans`` as loaded from the file, and ``eos_id`` and
-``bos_state`` as worked out when the tables are made or loaded.  A compiled
-kernel in the ``_native`` slot must return bit-identical results.
+``prob_keys``, ``prob_values`` and ``trans`` as loaded from the file, and
+``eos_id`` and ``bos_state`` as worked out when the tables are made or
+loaded.  It reads the two log probability columns through ``rows``: the
+first time a walk reaches context ``c``, the run of ``prob_keys`` from
+``c * base`` to ``(c + 1) * base``, found by bisection, becomes c's map of
+token id to the very float objects of ``prob_values``.  So a run builds maps
+only for the contexts its queries reach.  A compiled kernel in the
+``_native`` slot must return bit-identical results.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from itertools import repeat
+from operator import sub
 from typing import TYPE_CHECKING
 
 from ..ngram.counts import LOG_FLOOR
@@ -21,17 +29,30 @@ class PyScorer:
 
     def __init__(self, tables: ScorerTables):
         self.t = tables
+        # each context's {token id: log10 prob}, or None until first reached
+        self.rows: list[dict[int, float] | None] = [None] * len(tables.parent)
+
+    def row(self, c: int) -> dict[int, float]:
+        """Context ``c``'s stored log probabilities by token id, made once."""
+        t = self.t
+        keys, first = t.prob_keys, c * t.base
+        lo = bisect_left(keys, first)
+        hi = bisect_left(keys, first + t.base, lo)
+        row = self.rows[c] = dict(zip(map(sub, keys[lo:hi], repeat(first)), t.prob_values[lo:hi]))
+        return row
 
     def score(self, state: int, tid: int) -> float:
         """log10 prob of tid in state: back off until a stored gram is found."""
         t = self.t
-        probs = t.probs
+        rows = self.rows
         parent = t.parent
-        base = t.base
         s = state
         acc = 0.0
         while True:
-            lp = probs.get(s * base + tid)
+            row = rows[s]
+            if row is None:
+                row = self.row(s)
+            lp = row.get(tid)
             if lp is not None:
                 lp += acc
                 break

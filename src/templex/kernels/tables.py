@@ -5,7 +5,9 @@ tokens get dense ids (out-of-vocabulary and ``<unk>`` share the sentinel id
 ``V``), every stored context gets a dense context id, and the two hot maps
 key on ``ctx_id * (V + 1) + token_id``:
 
-* ``probs``  -> stored log10 probability of (context, token);
+* ``prob_keys`` and ``prob_values`` -> the stored log10 probability of each
+  (context, token), as two columns: the keys in strictly ascending order,
+  so each context's grams are one run of them, and the matching values;
 * ``trans``  -> context id of the extended context, for O(1) left-to-right
   state advancement.
 
@@ -18,8 +20,9 @@ the longest stored context that the next token can still extend (Heafield
 every ``ScorerTables`` works them out when it is made, built or loaded.
 
 One builder makes the tables, ``TableBuilder``, and it alone orders what it
-is given: it stores each log probability as it is added, and sets the
-backoff weights when the tables are taken, after every log probability.
+is given: it stores each log probability as it is added, and when the tables
+are taken it sorts them into the two columns and sets the backoff weights,
+after every log probability.
 ``build_tables`` adds a model's maps, and the ARPA writer each gram's
 numbers as it writes them, in the order of the file, so the tables ``train``
 stores equal those ``build_tables`` makes of the model read back from its
@@ -37,29 +40,32 @@ weight on a top-order gram (which an ARPA file may carry) would otherwise
 make an order-1 model's state keep the last token.
 
 ``write_tables`` / ``read_tables`` store the tables in a binary file (format
-version 4): a header of magic, version, order, base, ``unk_log10`` and the
+version 5): a header of magic, version, order, base, ``unk_log10`` and the
 block lengths, the vocabulary in id order, then little-endian ``array``
 blocks.  Each distinct log probability and each distinct backoff weight is
 stored once, in a block of 8-byte doubles in first-occurrence order; floats
-are equal when their 8 bytes are, so -0.0 and 0.0 stay apart.  The ``probs``
-values and the ``backoff`` column are 4-byte indexes into those blocks, and
-every other column is 8-byte ints.  Of ``trans`` only the keys are stored:
-``extend`` makes each context but the empty one with the one transition that
-leads to it, so the i-th transition leads to context i + 1, and
-``write_tables`` refuses tables numbered otherwise.  A trained model's
-numbers are 4-decimal values, far fewer distinct than stored;
-``read_tables`` gives equal numbers one float object, as the ARPA writer
-does at ``train``, and each context id one int object.  It rejects a file
-whose header, lengths or values could not come from ``write_tables`` of
-valid tables, with the value rules ``read_arpa`` applies to ARPA text; each
-value block is checked once, and each index or link column's range before it
-is gathered (a negative index would wrap in Python).  It loads block by
-block: it checks the header's lengths against the file's size, then reads
-the vocabulary and each block in turn from the open file, and drops each
-block once its list or dict is built, so neither the whole file nor a second
-copy of a column is held beside the tables.  The tables keep lists and dicts
-rather than arrays, because the kernels index them on every query and an
-array makes a new object on each index.
+are equal when their 8 bytes are, so -0.0 and 0.0 stay apart.  The
+``prob_values`` and the ``backoff`` column are 4-byte indexes into those
+blocks, and every other column is 8-byte ints, ``prob_keys`` in the order it
+is held.  Of ``trans`` only the keys are stored: ``extend`` makes each
+context but the empty one with the one transition that leads to it, so the
+i-th transition leads to context i + 1, and ``write_tables`` refuses tables
+numbered otherwise.  A trained model's numbers are 4-decimal values, far
+fewer distinct than stored; ``read_tables`` gives equal numbers one float
+object, as the ARPA writer does at ``train``, and each context id one int
+object.  It rejects a file whose header, lengths or values could not come
+from ``write_tables`` of valid tables, with the value rules ``read_arpa``
+applies to ARPA text; each value block is checked once, and each index or
+link column's range before it is gathered (a negative index would wrap in
+Python).  It loads block by block: it checks the header's lengths against
+the file's size, then reads the vocabulary and each block in turn from the
+open file, and drops each block once its column is built, so neither the
+whole file nor a second copy of a column is held beside the tables.
+``prob_keys`` is kept as the block it is read into, and no map of the log
+probabilities is built: the Python kernel makes a context's map of them the
+first time a query reaches the context.  The other columns are lists and
+``trans`` a dict, because the kernels index them on every query and an array
+makes a new object on each index.
 """
 
 from __future__ import annotations
@@ -71,7 +77,7 @@ import sys
 from array import array
 from dataclasses import dataclass, field
 from itertools import islice, repeat
-from operator import ge, gt, lt
+from operator import ge, gt, le, lt
 
 from ..ngram.counts import BOS, EOS
 from .pykernel import PyScorer
@@ -84,7 +90,8 @@ class ScorerTables:
     token_ids: dict[str, int]
     parent: list[int]
     backoff: list[float]
-    probs: dict[int, float]
+    prob_keys: array  # of "q", strictly ascending
+    prob_values: list[float]
     trans: dict[int, int]
     unk_log10: float
     # derived, never stored: the id of the end symbol, and the state after
@@ -188,18 +195,27 @@ class TableBuilder:
                 queued[key] = w
 
     def tables(self, unk_log10: float) -> ScorerTables:
-        """The tables, once each queued backoff weight is set in turn."""
+        """The tables, once each queued backoff weight is set in turn; the
+        builder is spent.  The map of log probabilities is dropped before the
+        array of their keys is made, so the two are never alive together."""
         trans, backoff, base, extend = self.trans, self.backoff, self.base, self.extend
         for key, w in self.queued.items():
             c = trans.get(key)
             backoff[extend(*divmod(key, base)) if c is None else c] = w
+        probs, self.probs = self.probs, None
+        keys = sorted(probs)
+        values = list(map(probs.__getitem__, keys))
+        del probs
+        prob_keys = array(_INT, keys)
+        del keys
         return ScorerTables(
             order=self.order,
             base=self.base,
             token_ids=self.token_ids,
             parent=self.parent,
             backoff=self.backoff,
-            probs=self.probs,
+            prob_keys=prob_keys,
+            prob_values=values,
             trans=self.trans,
             unk_log10=unk_log10,
         )
@@ -220,10 +236,10 @@ class MalformedTables(ValueError):
 
 
 MAGIC = b"templex-tables\n\0"
-VERSION = 4
+VERSION = 5
 # magic, version, order, base, unk_log10, then the byte length of the
-# vocabulary, the number of contexts and probs, and the number of distinct
-# log probabilities and of distinct backoff weights
+# vocabulary, the number of contexts and of stored log probabilities, and
+# the number of distinct log probabilities and of distinct backoff weights
 _HEADER = struct.Struct("<16sI2qd5q")
 # 8-byte signed int, 8-byte IEEE double, 4-byte unsigned index into a value block
 _INT, _FLOAT, _INDEX = "q", "d", "I"
@@ -233,7 +249,8 @@ _SWAP = sys.byteorder != "little"
 def _blocks(nctx: int, nprobs: int, nlogprobs: int, nbackoffs: int):
     """(typecode, length) of each block after the vocabulary: the distinct
     log probabilities and backoff weights, then parent, the backoff index of
-    each context, probs keys and value indexes, and trans keys."""
+    each context, the log probabilities' keys and value indexes, and trans
+    keys."""
     return (
         (_FLOAT, nlogprobs),
         (_FLOAT, nbackoffs),
@@ -266,7 +283,7 @@ def write_tables(tables: ScorerTables, path) -> None:
     if len(trans) != nctx - 1 or any(map(int.__ne__, trans.values(), range(1, nctx))):
         raise ValueError("the i-th transition must lead to context i + 1, as the file numbers them")
     vocab = "\n".join(words).encode("utf-8")
-    logprobs, prob_index = _distinct(tables.probs.values())
+    logprobs, prob_index = _distinct(tables.prob_values)
     backoffs, backoff_index = _distinct(tables.backoff)
     header = _HEADER.pack(
         MAGIC,
@@ -276,7 +293,7 @@ def write_tables(tables: ScorerTables, path) -> None:
         tables.unk_log10,
         len(vocab),
         nctx,
-        len(tables.probs),
+        len(tables.prob_keys),
         len(logprobs),
         len(backoffs),
     )
@@ -285,11 +302,11 @@ def write_tables(tables: ScorerTables, path) -> None:
         backoffs,
         tables.parent,
         backoff_index,
-        tables.probs.keys(),
+        tables.prob_keys,
         prob_index,
         trans.keys(),
     )
-    layout = _blocks(nctx, len(tables.probs), len(logprobs), len(backoffs))
+    layout = _blocks(nctx, len(tables.prob_keys), len(logprobs), len(backoffs))
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(vocab)
@@ -305,10 +322,12 @@ def read_tables(path) -> ScorerTables:
 
     Raises MalformedTables for a wrong magic or version, a length that does
     not match the header, a NaN or positive log probability, a NaN or +inf
-    backoff weight, an index past its value block, and context links that
+    backoff weight, an index past its value block, context links that
     would leave the table (a parent must come before its child, so every
-    backoff walk ends).  Equal numbers share one float object, and each
-    context id is one int object in ``parent`` and the ``trans`` values.
+    backoff walk ends), a key stored twice, ``prob_keys`` out of ascending
+    order, and a key of ``prob_keys`` that names no context.  Equal numbers
+    share one float object, and each context id is one int object in
+    ``parent`` and the ``trans`` values.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -335,8 +354,8 @@ def read_tables(path) -> ScorerTables:
         token_ids = dict(zip(words, range(len(words))))
         if order < 1 or base < 1 or len(words) != base - 1 or len(token_ids) != len(words):
             raise MalformedTables(path, "vocabulary does not match its header")
-        # each block is read as it is used, and dropped once its list or
-        # dict is built (keys first, then values: the order of the file)
+        # each block is read as it is used, and dropped once its column is
+        # built (keys first, then values: the order of the file)
         blocks = (_read_block(fh, typecode, n) for typecode, n in layout)
         logprobs = next(blocks).tolist()
         if not (unk_log10 <= 0.0 and all(map(ge, repeat(0.0), logprobs))):
@@ -351,12 +370,25 @@ def read_tables(path) -> ScorerTables:
         parent = list(map(ids.__getitem__, links))
         del links
         backoff = list(_gather(path, backoffs, next(blocks)))
-        probs = dict(zip(next(blocks), _gather(path, logprobs, next(blocks))))
+        prob_keys = next(blocks)
+        _check_ascending(path, prob_keys, nctx * base)
+        prob_values = list(_gather(path, logprobs, next(blocks)))
         # the i-th key leads to context i + 1
         trans = dict(zip(next(blocks), islice(ids, 1, None)))
-    if len(probs) != nprobs or len(trans) != nctx - 1:
+    if len(trans) != nctx - 1:
         raise MalformedTables(path, "a key is stored twice")
-    return ScorerTables(order, base, token_ids, parent, backoff, probs, trans, unk_log10)
+    return ScorerTables(order, base, token_ids, parent, backoff, prob_keys, prob_values, trans, unk_log10)
+
+
+def _check_ascending(path, keys: array, end: int) -> None:
+    """Raise unless ``keys`` ascend strictly from 0 or more to below ``end``,
+    the first key past the last context."""
+    if not all(map(lt, keys, islice(keys, 1, None))):
+        if all(map(le, keys, islice(keys, 1, None))):
+            raise MalformedTables(path, "a key is stored twice")
+        raise MalformedTables(path, "the log probability keys are out of order")
+    if keys and not (keys[0] >= 0 and keys[-1] < end):
+        raise MalformedTables(path, "a log probability key names no context")
 
 
 def _gather(path, values: list, index: array):

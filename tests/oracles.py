@@ -285,13 +285,16 @@ def reference_tables(model):
     state = ()
     for _ in range(model.order - 1):
         state = ordered[longest_stored_suffix(state + (bos,))]
+    probs = {ctx_id[g[:-1]] * base + g[-1]: lp for g, lp in grams.items()}
+    prob_keys = sorted(probs)
     return SimpleNamespace(
         order=model.order,
         base=base,
         token_ids=token_ids,
         parent=[ctx_id[c[1:]] if c else 0 for c in ordered],
         backoff=[bows.get(c, 0.0) for c in ordered],
-        probs={ctx_id[g[:-1]] * base + g[-1]: lp for g, lp in grams.items()},
+        prob_keys=prob_keys,
+        prob_values=[probs[k] for k in prob_keys],
         trans={ctx_id[c[:-1]] * base + c[-1]: ctx_id[c] for c in ordered if c},
         unk_log10=model.unk_log10,
         bos_state=ctx_id[state],

@@ -308,7 +308,7 @@ def assert_same_tables(got, want):
     """Equal tables whose floats are bit-identical too (``==`` takes -0.0 for 0.0)."""
     assert got == want
     assert float_bits(got.backoff) == float_bits(want.backoff)
-    assert float_bits(got.probs.values()) == float_bits(map(want.probs.__getitem__, got.probs))
+    assert float_bits(got.prob_values) == float_bits(want.prob_values)
     assert float_bits([got.unk_log10]) == float_bits([want.unk_log10])
 
 
@@ -373,8 +373,8 @@ def test_writer_keeps_the_sign_of_zero():
     tables = write_arpa(model, buf)
     assert "-0.0000\ta\n" in buf.getvalue()
     assert "\n0.0000\tb\n" in buf.getvalue()
-    ids = tables.token_ids
-    assert float_bits([tables.probs[ids["a"]], tables.probs[ids["b"]]]) == float_bits([-0.0, 0.0])
+    ids, probs = tables.token_ids, dict(zip(tables.prob_keys, tables.prob_values))
+    assert float_bits([probs[ids["a"]], probs[ids["b"]]]) == float_bits([-0.0, 0.0])
 
 
 @settings(max_examples=100, deadline=None)

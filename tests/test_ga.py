@@ -5,7 +5,6 @@ import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import stats as sps
 
 from templex import ga
 from templex.corpus import Template, extract_templates
@@ -477,6 +476,8 @@ def test_init_population_replays_randrange(desk_factored_inventory, token_lm3, s
 
 
 def test_init_population_draws_uniformly(desk_factored_inventory, token_lm3, sig_lm5):
+    # imported here, so the other GA tests run on a Python without scipy
+    sps = pytest.importorskip("scipy.stats")
     cfg = default_cfg(population_size=8000, tournament_size=5)
     state = init_population(desk_factored_inventory, cfg, token_lm3.scorer, sig_lm5.scorer, random.Random(6))
     index = {t: i for i, t in enumerate(desk_factored_inventory.templates)}

@@ -25,6 +25,7 @@ from templex.kernels import (
     available_backends,
     make_scorer,
 )
+from templex.kernels.pykernel import PyScorer
 from templex.kernels.tables import (
     _HEADER,
     MAGIC,
@@ -36,6 +37,7 @@ from templex.kernels.tables import (
     write_tables,
 )
 from templex.ngram import BOS, NGramModel, read_arpa, read_arpa_file, train, write_arpa
+from templex.ngram.counts import LOG_FLOOR
 
 from helpers import CHECKOUT, child_env, copy_model, float_bits
 from oracles import reference_tables
@@ -163,6 +165,8 @@ def by_context(t):
     """Tables keyed by each context's token ids instead of its context id."""
     base = t.base
     names = context_names(t)
+    assert list(t.prob_keys) == sorted(set(t.prob_keys))  # strictly ascending
+    assert len(t.prob_keys) == len(t.prob_values)
     return dict(
         order=t.order,
         base=base,
@@ -173,7 +177,7 @@ def by_context(t):
         ctx_len={names[c]: n for c, n in enumerate(context_lengths(t))},
         parent={names[c]: names[p] for c, p in enumerate(t.parent)},
         backoff={names[c]: w for c, w in enumerate(t.backoff)},
-        probs={(names[k // base], k % base): lp for k, lp in t.probs.items()},
+        probs={(names[k // base], k % base): lp for k, lp in zip(t.prob_keys, t.prob_values)},
         trans={(names[k // base], k % base): names[d] for k, d in t.trans.items()},
     )
 
@@ -350,6 +354,61 @@ def test_score_bit_identical_across_backends(token_lm3, sig_lm5):
                     model.order, state, tid)
 
 
+def flat_score(t, probs, state, tid):
+    """``score`` as a walk over one flat {key: log10 prob} map ``probs``."""
+    s, acc = state, 0.0
+    while True:
+        lp = probs.get(s * t.base + tid)
+        if lp is not None:
+            lp += acc
+            break
+        if s == 0:
+            lp = acc + t.unk_log10
+            break
+        acc += t.backoff[s]
+        s = t.parent[s]
+    return LOG_FLOOR if lp < LOG_FLOOR else lp
+
+
+@settings(max_examples=300, deadline=None)
+@given(model=pruned_models())
+def test_row_kernel_matches_a_walk_over_a_flat_map_on_pruned_models(model):
+    """Every context with each token it stores, one it does not and the OOV
+    id: the same float bits (so the same sign of zero) as the reference."""
+    t = build_tables(model)
+    probs = dict(zip(t.prob_keys, t.prob_values))
+    kernel, oov = PyScorer(t), t.base - 1
+    for c in range(len(t.parent)):
+        stored = [k - c * t.base for k in t.prob_keys if k // t.base == c]
+        unstored = [tid for tid in range(oov) if tid not in stored][:1]
+        for tid in stored + unstored + [oov]:
+            got, want = kernel.score(c, tid), flat_score(t, probs, c, tid)
+            assert float_bits([got]) == float_bits([want]), (model.order, c, tid)
+
+
+@settings(max_examples=200, deadline=None)
+@given(model=pruned_models(), data=st.data())
+def test_a_fresh_scorer_makes_rows_only_on_the_backoff_chains_it_scores(model, data):
+    t = build_tables(model)
+    probs = dict(zip(t.prob_keys, t.prob_values))
+    kernel = PyScorer(t)
+    assert kernel.rows == [None] * len(t.parent)
+    query = st.tuples(st.integers(0, len(t.parent) - 1), st.integers(0, t.base - 1))
+    reached = set()
+    for state, tid in data.draw(st.lists(query, max_size=8)):
+        kernel.score(state, tid)
+        reached.add(state)
+        while state and state * t.base + tid not in probs:
+            state = t.parent[state]
+            reached.add(state)
+    assert {c for c, row in enumerate(kernel.rows) if row is not None} == reached
+    for c in reached:
+        want = {k - c * t.base: lp for k, lp in probs.items() if k // t.base == c}
+        assert kernel.rows[c].keys() == want.keys()
+        # the very float objects of prob_values
+        assert all(kernel.rows[c][tid] is lp for tid, lp in want.items())
+
+
 def test_ends_match_string_queries(token_lm3, sig_lm5, desk_token_seqs):
     # a chromosome's head and tail, one template per token
     lm1 = train(desk_token_seqs, 1)
@@ -450,7 +509,9 @@ def test_build_tables_leaves_no_cyclic_garbage(token_lm3, sig_lm5):
 @st.composite
 def scorer_tables(draw):
     """Tables that pass read_tables' checks, with every extreme value the
-    format must carry bit for bit (-0.0, -inf, 64-bit keys, non-ASCII words)."""
+    format must carry bit for bit (-0.0, -inf, 64-bit transition keys,
+    non-ASCII words).  A log probability's key names a context, so it
+    is below the number of contexts times the base."""
     order = draw(st.integers(1, 5))
     words = draw(
         st.lists(
@@ -470,13 +531,15 @@ def scorer_tables(draw):
     weight = st.one_of(
         st.sampled_from((0.0, -0.0, 2.5, -math.inf)), st.floats(allow_nan=False, max_value=1e300)
     )
+    prob_keys = sorted(draw(st.sets(st.integers(0, n * base - 1), max_size=20)))
     return ScorerTables(
         order=order,
         base=base,
         token_ids=dict(zip(words, range(len(words)))),
         parent=[0] + [draw(st.integers(0, c - 1)) for c in range(1, n)],
         backoff=draw(st.lists(weight, min_size=n, max_size=n)),
-        probs=draw(st.dictionaries(key, logprob, max_size=20)),
+        prob_keys=array("q", prob_keys),
+        prob_values=draw(st.lists(logprob, min_size=len(prob_keys), max_size=len(prob_keys))),
         trans=dict(zip(trans_keys, range(1, n))),
         unk_log10=draw(logprob),
     )
@@ -491,18 +554,19 @@ def test_tables_file_round_trip(tmp_path_factory, tables):
     # == takes -0.0 for 0.0, so every float is also compared bit for bit
     assert got == tables
     assert list(got.token_ids) == list(tables.token_ids)
-    assert list(got.probs) == list(tables.probs)
+    assert got.prob_keys.typecode == "q"
+    assert list(got.prob_keys) == list(tables.prob_keys)
     assert float_bits(got.backoff) == float_bits(tables.backoff)
-    assert float_bits(got.probs.values()) == float_bits(tables.probs.values())
+    assert float_bits(got.prob_values) == float_bits(tables.prob_values)
     assert float_bits([got.unk_log10]) == float_bits([tables.unk_log10])
     assert_shared(got)
 
 
 def assert_shared(tables):
-    """``probs`` and ``backoff`` each hold one float object per distinct bit
-    pattern, and ``parent`` and the ``trans`` values one int object per
-    context id."""
-    for values in (list(tables.probs.values()), tables.backoff):
+    """``prob_values`` and ``backoff`` each hold one float object per
+    distinct bit pattern, and ``parent`` and the ``trans`` values one int
+    object per context id."""
+    for values in (tables.prob_values, tables.backoff):
         assert len({id(v) for v in values}) == len(set(float_bits(values)))
     first = {}
     for c in tables.parent + list(tables.trans.values()):
@@ -522,7 +586,7 @@ def test_loaded_tables_share_equal_numbers(tmp_path):
     got = read_tables(path)
     assert got == tables
     assert_shared(got)
-    assert len(set(got.probs.values())) < len(got.probs) // 2
+    assert len(set(got.prob_values)) < len(got.prob_values) // 2
     assert max(c for c, n in Counter(got.parent).items() if n > 1) > 256
 
 
@@ -602,6 +666,10 @@ LOGPROBS, BACKOFFS, PARENT, BACKOFF_INDEX, PROBS_KEYS, PROBS_INDEX, TRANS_KEYS =
         (overwrite(PARENT, "<q", -1, -1), "context link"),
         (no_contexts, "the header declares other lengths"),
         (lambda b, t: overwrite(TRANS_KEYS, "<q", next(iter(t.trans)), -1)(b, t), "a key is stored twice"),
+        (lambda b, t: overwrite(PROBS_KEYS, "<q", t.prob_keys[0], 1)(b, t), "a key is stored twice"),
+        (lambda b, t: overwrite(PROBS_KEYS, "<q", t.prob_keys[2])(b, t), "log probability keys are out of order"),
+        (overwrite(PROBS_KEYS, "<q", lambda f: f[6] * f[3], -1), "log probability key names no context"),
+        (overwrite(PROBS_KEYS, "<q", -1), "log probability key names no context"),
         (overwrite(LOGPROBS, "<d", math.nan, -1), "log probability is NaN or above 0"),
         (overwrite(LOGPROBS, "<d", 0.5), "log probability is NaN or above 0"),
         (overwrite(BACKOFFS, "<d", math.inf, -1), "backoff weight is NaN or \\+inf"),
@@ -620,6 +688,10 @@ LOGPROBS, BACKOFFS, PARENT, BACKOFF_INDEX, PROBS_KEYS, PROBS_INDEX, TRANS_KEYS =
         "negative-parent",
         "no-contexts",
         "trans-key-twice",
+        "prob-key-twice",
+        "prob-keys-out-of-order",
+        "prob-key-past-the-last-context",
+        "prob-key-negative",
         "nan-logprob-block",
         "positive-logprob-block",
         "inf-backoff-block",
@@ -638,8 +710,8 @@ def test_read_tables_rejects_damaged_bytes(tmp_path, sig_lm5, damage, reason):
 @pytest.mark.parametrize(
     "change, reason",
     [
-        (lambda t: {"probs": t.probs | {0: 0.5}}, "log probability is NaN or above 0"),
-        (lambda t: {"probs": t.probs | {0: math.nan}}, "log probability is NaN or above 0"),
+        (lambda t: {"prob_values": [0.5] + t.prob_values[1:]}, "log probability is NaN or above 0"),
+        (lambda t: {"prob_values": [math.nan] + t.prob_values[1:]}, "log probability is NaN or above 0"),
         (lambda t: {"unk_log10": 1.0}, "log probability is NaN or above 0"),
         (lambda t: {"backoff": t.backoff[:-1] + [math.inf]}, "backoff weight is NaN or \\+inf"),
         (lambda t: {"backoff": t.backoff[:-1] + [math.nan]}, "backoff weight is NaN or \\+inf"),
@@ -648,8 +720,8 @@ def test_read_tables_rejects_damaged_bytes(tmp_path, sig_lm5, damage, reason):
         (lambda t: {"base": t.base + 1}, "vocabulary does not match"),
         (lambda t: {"order": 0}, "vocabulary does not match"),
         # one bad number shared by every entry: the value block holds it once
-        (lambda t: {"probs": dict.fromkeys(t.probs, math.nan)}, "log probability is NaN or above 0"),
-        (lambda t: {"probs": dict.fromkeys(t.probs, 0.5)}, "log probability is NaN or above 0"),
+        (lambda t: {"prob_values": [math.nan] * len(t.prob_values)}, "log probability is NaN or above 0"),
+        (lambda t: {"prob_values": [0.5] * len(t.prob_values)}, "log probability is NaN or above 0"),
         (lambda t: {"backoff": [math.inf] * len(t.backoff)}, "backoff weight is NaN or \\+inf"),
     ],
 )
@@ -657,6 +729,21 @@ def test_read_tables_rejects_values_read_arpa_would_reject(tmp_path, sig_lm5, ch
     path = tmp_path / "m.tables"
     tables = build_tables(sig_lm5)
     write_tables(rewritten(tables, **change(tables)), path)
+    with pytest.raises(MalformedTables, match=reason):
+        read_tables(path)
+
+
+@pytest.mark.parametrize(
+    "change, reason",
+    [
+        (lambda t: {"prob_keys": t.prob_keys[::-1], "prob_values": t.prob_values[::-1]}, "keys are out of order"),
+        (lambda t: {"prob_keys": t.prob_keys[:-1] + array("q", [len(t.parent) * t.base])}, "names no context"),
+    ],
+    ids=["reversed", "past-the-last-context"],
+)
+def test_read_tables_rejects_log_probability_keys_the_builder_cannot_make(tmp_path, sig_lm5, change, reason):
+    path = tmp_path / "m.tables"
+    write_tables(rewritten(build_tables(sig_lm5), **change(build_tables(sig_lm5))), path)
     with pytest.raises(MalformedTables, match=reason):
         read_tables(path)
 
