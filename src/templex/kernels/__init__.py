@@ -8,10 +8,12 @@ imports, ``python`` when it is absent.  A ``_native`` module that is present
 but fails to import, or has no ``NativeScorer``, raises here, so a broken
 build is an error, not a silent fall back to Python.
 ``make_scorer(model, backend)`` picks a backend by name.  The kernels read
-the tables' ``parent``, ``backoff``, ``prob_keys``, ``prob_values`` and
-``trans`` (loaded from the file with the vocabulary), and their ``eos_id``
-and ``bos_state``, which are worked out at load.  The Python kernel reads a
-context's run of the two log probability columns once, the first time a
+the tables' ``parent`` and ``backoff``, the log probability columns
+``prob_keys``, ``prob_index`` and ``logprobs`` and the transition columns
+``trans_keys`` and ``trans_next`` (loaded from the file with the vocabulary,
+each column but ``backoff`` as the array the file holds), and their
+``eos_id`` and ``bos_state``, which are worked out at load.  The Python
+kernel reads a context's run of each keyed column once, the first time a
 query reaches the context, and keeps it as a map by token id; a compiled
 kernel reads the same columns as it sees fit.
 """

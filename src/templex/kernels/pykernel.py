@@ -1,14 +1,16 @@
 """The pure-Python scoring kernel, the only one built.
 
-It walks the packed tables of ``tables.py``: ``parent``, ``backoff``,
-``prob_keys``, ``prob_values`` and ``trans`` as loaded from the file, and
-``eos_id`` and ``bos_state`` as worked out when the tables are made or
-loaded.  It reads the two log probability columns through ``rows``: the
-first time a walk reaches context ``c``, the run of ``prob_keys`` from
-``c * base`` to ``(c + 1) * base``, found by bisection, becomes c's map of
-token id to the very float objects of ``prob_values``.  So a run builds maps
-only for the contexts its queries reach.  A compiled kernel in the
-``_native`` slot must return bit-identical results.
+It walks the packed tables of ``tables.py``: ``parent``, ``backoff``, the
+log probability columns ``prob_keys``, ``prob_index`` and ``logprobs``, and
+the transition columns ``trans_keys`` and ``trans_next``, all as loaded from
+the file, and ``eos_id`` and ``bos_state`` as worked out when the tables are
+made or loaded.  It reads the two keyed columns through rows, made the first
+time a walk reaches a context: context ``c``'s run of keys from ``c * base``
+to ``(c + 1) * base``, found by bisection (``_run``), becomes c's map of
+token id to its log probability (``probabilities``, a float object of
+``logprobs``) or to the context the token leads to (``transitions``).  So a
+run builds rows only for the contexts its queries reach.  A compiled kernel
+in the ``_native`` slot must return bit-identical results.
 """
 
 from __future__ import annotations
@@ -21,7 +23,30 @@ from typing import TYPE_CHECKING
 from ..ngram.counts import LOG_FLOOR
 
 if TYPE_CHECKING:
+    from array import array
+
     from .tables import ScorerTables
+
+
+def _run(keys: array, base: int, c: int):
+    """The token ids of context ``c``'s run of the ascending ``keys``, and
+    the slice of the run."""
+    first = c * base
+    lo = bisect_left(keys, first)
+    hi = bisect_left(keys, first + base, lo)
+    return map(sub, keys[lo:hi], repeat(first)), slice(lo, hi)
+
+
+def probabilities(t: ScorerTables, c: int) -> dict[int, float]:
+    """Context ``c``'s stored log probabilities by token id."""
+    tids, run = _run(t.prob_keys, t.base, c)
+    return dict(zip(tids, map(t.logprobs.__getitem__, t.prob_index[run])))
+
+
+def transitions(t: ScorerTables, c: int) -> dict[int, int]:
+    """The context each token id leads to from context ``c``."""
+    tids, run = _run(t.trans_keys, t.base, c)
+    return dict(zip(tids, t.trans_next[run]))
 
 
 class PyScorer:
@@ -29,17 +54,9 @@ class PyScorer:
 
     def __init__(self, tables: ScorerTables):
         self.t = tables
-        # each context's {token id: log10 prob}, or None until first reached
+        # each context's rows, or None until a walk first reaches it
         self.rows: list[dict[int, float] | None] = [None] * len(tables.parent)
-
-    def row(self, c: int) -> dict[int, float]:
-        """Context ``c``'s stored log probabilities by token id, made once."""
-        t = self.t
-        keys, first = t.prob_keys, c * t.base
-        lo = bisect_left(keys, first)
-        hi = bisect_left(keys, first + t.base, lo)
-        row = self.rows[c] = dict(zip(map(sub, keys[lo:hi], repeat(first)), t.prob_values[lo:hi]))
-        return row
+        self.steps: list[dict[int, int] | None] = [None] * len(tables.parent)
 
     def score(self, state: int, tid: int) -> float:
         """log10 prob of tid in state: back off until a stored gram is found."""
@@ -51,7 +68,7 @@ class PyScorer:
         while True:
             row = rows[s]
             if row is None:
-                row = self.row(s)
+                row = rows[s] = probabilities(t, s)
             lp = row.get(tid)
             if lp is not None:
                 lp += acc
@@ -71,10 +88,14 @@ class PyScorer:
         tokens is ever extended, so from one the first lookup misses and the
         walk backs off as from any other."""
         t = self.t
+        steps = self.steps
         parent = t.parent
         u = state
         while True:
-            nxt = t.trans.get(u * t.base + tid)
+            row = steps[u]
+            if row is None:
+                row = steps[u] = transitions(t, u)
+            nxt = row.get(tid)
             if nxt is not None:
                 return nxt
             if u == 0:

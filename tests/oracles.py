@@ -287,6 +287,8 @@ def reference_tables(model):
         state = ordered[longest_stored_suffix(state + (bos,))]
     probs = {ctx_id[g[:-1]] * base + g[-1]: lp for g, lp in grams.items()}
     prob_keys = sorted(probs)
+    trans = {ctx_id[c[:-1]] * base + c[-1]: ctx_id[c] for c in ordered if c}
+    trans_keys = sorted(trans)
     return SimpleNamespace(
         order=model.order,
         base=base,
@@ -294,8 +296,11 @@ def reference_tables(model):
         parent=[ctx_id[c[1:]] if c else 0 for c in ordered],
         backoff=[bows.get(c, 0.0) for c in ordered],
         prob_keys=prob_keys,
-        prob_values=[probs[k] for k in prob_keys],
-        trans={ctx_id[c[:-1]] * base + c[-1]: ctx_id[c] for c in ordered if c},
+        # one value a key: the columns need not share equal numbers
+        prob_index=list(range(len(prob_keys))),
+        logprobs=[probs[k] for k in prob_keys],
+        trans_keys=trans_keys,
+        trans_next=[trans[k] for k in trans_keys],
         unk_log10=model.unk_log10,
         bos_state=ctx_id[state],
         eos_id=token_ids.get(EOS, sentinel),

@@ -308,7 +308,7 @@ def assert_same_tables(got, want):
     """Equal tables whose floats are bit-identical too (``==`` takes -0.0 for 0.0)."""
     assert got == want
     assert float_bits(got.backoff) == float_bits(want.backoff)
-    assert float_bits(got.prob_values) == float_bits(want.prob_values)
+    assert float_bits(got.logprobs) == float_bits(want.logprobs)
     assert float_bits([got.unk_log10]) == float_bits([want.unk_log10])
 
 
@@ -373,7 +373,7 @@ def test_writer_keeps_the_sign_of_zero():
     tables = write_arpa(model, buf)
     assert "-0.0000\ta\n" in buf.getvalue()
     assert "\n0.0000\tb\n" in buf.getvalue()
-    ids, probs = tables.token_ids, dict(zip(tables.prob_keys, tables.prob_values))
+    ids, probs = tables.token_ids, dict(zip(tables.prob_keys, map(tables.logprobs.__getitem__, tables.prob_index)))
     assert float_bits([probs[ids["a"]], probs[ids["b"]]]) == float_bits([-0.0, 0.0])
 
 

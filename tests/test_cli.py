@@ -586,7 +586,7 @@ def test_generate_out_of_range_logprob_exits_2(tmp_path, data_dir, capsys):
     path = trained_config(tmp_path, data_dir)
     target = tmp_path / "out" / cli.TOKEN_TABLES_FILE
     tables = read_tables(target)
-    tables.prob_values[0] = 500.0
+    tables.logprobs[0] = 500.0
     write_tables(tables, target)
     reseal(tmp_path / "out")
     capsys.readouterr()
@@ -595,7 +595,7 @@ def test_generate_out_of_range_logprob_exits_2(tmp_path, data_dir, capsys):
     assert err == ["error: bad model file: %s: a log probability is NaN or above 0; retrain" % target]
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
 def test_generate_asks_for_a_retrain_on_an_old_tables_format(tmp_path, data_dir, capsys, version):
     path = trained_config(tmp_path, data_dir)
     target = tmp_path / "out" / cli.TOKEN_TABLES_FILE
@@ -605,7 +605,7 @@ def test_generate_asks_for_a_retrain_on_an_old_tables_format(tmp_path, data_dir,
     capsys.readouterr()
     assert main(["generate", "--config", str(path)]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert err == ["error: bad model file: %s: format version %d, expected 5; retrain" % (target, version)]
+    assert err == ["error: bad model file: %s: format version %d, expected 6; retrain" % (target, version)]
 
 
 def set_unigram_backoffs(arpa, value):
@@ -743,8 +743,8 @@ DESK_ARTIFACTS_SHA256 = {
     cli.INVENTORY_FILE: "b72e190572f0c736a709b53d208871644651af5728aa8533a6b6acd811a480c9",
     cli.TOKEN_LM_FILE: "b7917c1945d3dcde45d2b75dea356de8183b667a3aeae72e6434499592db0881",
     cli.SIGNATURE_LM_FILE: "fbc6ca9bf0ad21c54057d7b33899e46a4d9fdfbfcba23c8882aafa98daac8670",
-    cli.TOKEN_TABLES_FILE: "84574d63594aa3638b9422333a006be2f1719ea5fc8dd3efbc91fcbc52c49457",
-    cli.SIGNATURE_TABLES_FILE: "d8c11ecf3046c06eec143237f44814ac840c811f74913e038585d41cb5e08b47",
+    cli.TOKEN_TABLES_FILE: "f6044ed53c910c686c6f36adceff379c20b20800f815e55a760044420ab25c96",
+    cli.SIGNATURE_TABLES_FILE: "42f8d2e2acef1a240ad0994bd0d520369898c24d6d264e5a0afdfbc8dc0023b5",
     cli.STATS_FILE: "70929ad5d40055f88f1e7951c9a24e641773d8efe42b5b0ba2b04c7510fae9e2",
     cli.POPULATION_FILE: "32dcea1f480eb16fb98b5eecb73625a23095f3de3d9172e90b9d689e2a003623",
 }

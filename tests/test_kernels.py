@@ -8,6 +8,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import tracemalloc
 from array import array
 from collections import Counter
 from dataclasses import replace
@@ -25,11 +26,12 @@ from templex.kernels import (
     available_backends,
     make_scorer,
 )
-from templex.kernels.pykernel import PyScorer
+from templex.kernels.pykernel import PyScorer, transitions
 from templex.kernels.tables import (
     _HEADER,
     MAGIC,
     _blocks,
+    _read_block,
     MalformedTables,
     ScorerTables,
     build_tables,
@@ -104,6 +106,16 @@ def test_token_ids_follow_sorted_vocab(token_lm3):
         assert t.token_ids[w] == i
 
 
+def prob_map(t):
+    """The stored log probabilities as one {key: log10 prob} map."""
+    return dict(zip(t.prob_keys, map(t.logprobs.__getitem__, t.prob_index)))
+
+
+def trans_map(t):
+    """The transitions as one {key: context it leads to} map."""
+    return dict(zip(t.trans_keys, t.trans_next))
+
+
 def context_lengths(t):
     """Each context's length: the number of parent steps to the empty
     context.  Every parent has a lower id, so each chain ends."""
@@ -125,7 +137,7 @@ def test_table_shapes_consistent(sig_lm5):
         assert ctx_len[t.parent[c]] == ctx_len[c] - 1
     # every trans target is one longer than its source
     base = t.base
-    for key, dst in t.trans.items():
+    for key, dst in zip(t.trans_keys, t.trans_next):
         assert ctx_len[dst] == ctx_len[key // base] + 1
 
 
@@ -145,7 +157,7 @@ def test_bos_state_backs_off_in_single_start_files(data_dir):
     t = build_tables(m)
     assert context_lengths(t)[t.bos_state] == 1
     bos_id = t.encode(BOS)
-    root_step = t.trans[0 * t.base + bos_id]
+    root_step = trans_map(t)[0 * t.base + bos_id]
     assert t.bos_state == root_step
 
 
@@ -154,9 +166,9 @@ def context_names(t):
     base = t.base
     ctx_len = context_lengths(t)
     names = {0: ()}
-    for key, dst in sorted(t.trans.items(), key=lambda kv: ctx_len[kv[1]]):
+    for key, dst in sorted(zip(t.trans_keys, t.trans_next), key=lambda kv: ctx_len[kv[1]]):
         names[dst] = names[key // base] + (key % base,)
-    assert len(names) == len(ctx_len) == len(t.trans) + 1  # one name each
+    assert len(names) == len(ctx_len) == len(t.trans_keys) + 1  # one name each
     assert len(set(names.values())) == len(names)
     return names
 
@@ -166,7 +178,9 @@ def by_context(t):
     base = t.base
     names = context_names(t)
     assert list(t.prob_keys) == sorted(set(t.prob_keys))  # strictly ascending
-    assert len(t.prob_keys) == len(t.prob_values)
+    assert list(t.trans_keys) == sorted(set(t.trans_keys))
+    assert len(t.prob_keys) == len(t.prob_index)
+    assert len(t.trans_keys) == len(t.trans_next)
     return dict(
         order=t.order,
         base=base,
@@ -177,8 +191,8 @@ def by_context(t):
         ctx_len={names[c]: n for c, n in enumerate(context_lengths(t))},
         parent={names[c]: names[p] for c, p in enumerate(t.parent)},
         backoff={names[c]: w for c, w in enumerate(t.backoff)},
-        probs={(names[k // base], k % base): lp for k, lp in zip(t.prob_keys, t.prob_values)},
-        trans={(names[k // base], k % base): names[d] for k, d in t.trans.items()},
+        probs={(names[k // base], k % base): lp for k, lp in prob_map(t).items()},
+        trans={(names[k // base], k % base): names[d] for k, d in trans_map(t).items()},
     )
 
 
@@ -233,13 +247,15 @@ def test_tables_match_the_reference_on_pruned_models(model):
 
 def assert_no_transition_leaves_a_full_context(t):
     """``advance`` relies on this: a context of order - 1 tokens is never
-    extended, so from one the first ``trans`` lookup misses and the walk
+    extended, so from one the first transition lookup misses and the walk
     backs off to a context that can take the next token.  The tables file
-    relies on the transitions leading to contexts 1, 2, ... in order."""
+    relies on one transition leading to each context but the empty one,
+    from a context before it."""
     ctx_len = context_lengths(t)
-    full = [key for key in t.trans if ctx_len[key // t.base] >= t.order - 1]
+    full = [key for key in t.trans_keys if ctx_len[key // t.base] >= t.order - 1]
     assert full == [], (t.order, full[:5])
-    assert list(t.trans.values()) == list(range(1, len(t.parent)))
+    assert sorted(t.trans_next) == list(range(1, len(t.parent)))
+    assert all(dst > key // t.base for key, dst in zip(t.trans_keys, t.trans_next))
 
 
 def test_no_transition_leaves_a_full_context(tmp_path, token_lm3, sig_lm5, desk_token_seqs, data_dir):
@@ -376,7 +392,7 @@ def test_row_kernel_matches_a_walk_over_a_flat_map_on_pruned_models(model):
     """Every context with each token it stores, one it does not and the OOV
     id: the same float bits (so the same sign of zero) as the reference."""
     t = build_tables(model)
-    probs = dict(zip(t.prob_keys, t.prob_values))
+    probs = prob_map(t)
     kernel, oov = PyScorer(t), t.base - 1
     for c in range(len(t.parent)):
         stored = [k - c * t.base for k in t.prob_keys if k // t.base == c]
@@ -390,7 +406,7 @@ def test_row_kernel_matches_a_walk_over_a_flat_map_on_pruned_models(model):
 @given(model=pruned_models(), data=st.data())
 def test_a_fresh_scorer_makes_rows_only_on_the_backoff_chains_it_scores(model, data):
     t = build_tables(model)
-    probs = dict(zip(t.prob_keys, t.prob_values))
+    probs = prob_map(t)
     kernel = PyScorer(t)
     assert kernel.rows == [None] * len(t.parent)
     query = st.tuples(st.integers(0, len(t.parent) - 1), st.integers(0, t.base - 1))
@@ -405,8 +421,31 @@ def test_a_fresh_scorer_makes_rows_only_on_the_backoff_chains_it_scores(model, d
     for c in reached:
         want = {k - c * t.base: lp for k, lp in probs.items() if k // t.base == c}
         assert kernel.rows[c].keys() == want.keys()
-        # the very float objects of prob_values
+        # the very float objects of logprobs
         assert all(kernel.rows[c][tid] is lp for tid, lp in want.items())
+    assert kernel.steps == [None] * len(t.parent)  # scoring makes no transition rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(model=pruned_models(), data=st.data())
+def test_a_fresh_scorer_makes_transition_rows_only_for_the_contexts_its_walks_reach(model, data):
+    t = build_tables(model)
+    trans = trans_map(t)
+    kernel = PyScorer(t)
+    assert kernel.steps == [None] * len(t.parent)
+    query = st.tuples(st.integers(0, len(t.parent) - 1), st.integers(0, t.base - 1))
+    reached = set()
+    for state, tid in data.draw(st.lists(query, max_size=8)):
+        kernel.advance(state, tid)
+        reached.add(state)
+        while state and state * t.base + tid not in trans:
+            state = t.parent[state]
+            reached.add(state)
+    assert {c for c, row in enumerate(kernel.steps) if row is not None} == reached
+    for c in reached:
+        assert kernel.steps[c] == {k - c * t.base: d for k, d in trans.items() if k // t.base == c}
+        assert kernel.steps[c] == transitions(t, c)
+    assert kernel.rows == [None] * len(t.parent)  # advancing makes no log probability rows
 
 
 def test_ends_match_string_queries(token_lm3, sig_lm5, desk_token_seqs):
@@ -509,9 +548,9 @@ def test_build_tables_leaves_no_cyclic_garbage(token_lm3, sig_lm5):
 @st.composite
 def scorer_tables(draw):
     """Tables that pass read_tables' checks, with every extreme value the
-    format must carry bit for bit (-0.0, -inf, 64-bit transition keys,
-    non-ASCII words).  A log probability's key names a context, so it
-    is below the number of contexts times the base."""
+    format must carry bit for bit (-0.0, -inf, non-ASCII words).  A key
+    names a context, so it is below the number of contexts times the base,
+    and a transition leads to a context after the one its key names."""
     order = draw(st.integers(1, 5))
     words = draw(
         st.lists(
@@ -522,9 +561,8 @@ def scorer_tables(draw):
     )
     base = len(words) + 1
     n = draw(st.integers(1, 10))
-    key = st.integers(-(2**63), 2**63 - 1)
-    # the file numbers the transitions: the i-th leads to context i + 1
-    trans_keys = draw(st.lists(key, unique=True, min_size=n - 1, max_size=n - 1))
+    # one transition a context but the empty one, from any context but the last
+    trans_keys = sorted(draw(st.sets(st.integers(0, max((n - 1) * base - 1, 0)), min_size=n - 1, max_size=n - 1)))
     # a few fixed values, so that equal numbers (and zeros of both signs)
     # recur within one table, as they do in a trained model
     logprob = st.one_of(st.sampled_from((0.0, -0.0, -1.5, -math.inf)), st.floats(max_value=0.0))
@@ -532,15 +570,20 @@ def scorer_tables(draw):
         st.sampled_from((0.0, -0.0, 2.5, -math.inf)), st.floats(allow_nan=False, max_value=1e300)
     )
     prob_keys = sorted(draw(st.sets(st.integers(0, n * base - 1), max_size=20)))
+    # distinct bit patterns, as the builder and the loaded file hold them
+    logprobs = draw(st.lists(logprob, min_size=1 if prob_keys else 0, max_size=6, unique_by=float_bits_of))
+    index = st.integers(0, max(len(logprobs) - 1, 0))
     return ScorerTables(
         order=order,
         base=base,
         token_ids=dict(zip(words, range(len(words)))),
-        parent=[0] + [draw(st.integers(0, c - 1)) for c in range(1, n)],
+        parent=array("q", [0] + [draw(st.integers(0, c - 1)) for c in range(1, n)]),
         backoff=draw(st.lists(weight, min_size=n, max_size=n)),
         prob_keys=array("q", prob_keys),
-        prob_values=draw(st.lists(logprob, min_size=len(prob_keys), max_size=len(prob_keys))),
-        trans=dict(zip(trans_keys, range(1, n))),
+        prob_index=array("I", [draw(index) for _ in prob_keys]),
+        logprobs=logprobs,
+        trans_keys=array("q", trans_keys),
+        trans_next=array("I", [draw(st.integers(k // base + 1, n - 1)) for k in trans_keys]),
         unk_log10=draw(logprob),
     )
 
@@ -554,40 +597,102 @@ def test_tables_file_round_trip(tmp_path_factory, tables):
     # == takes -0.0 for 0.0, so every float is also compared bit for bit
     assert got == tables
     assert list(got.token_ids) == list(tables.token_ids)
-    assert got.prob_keys.typecode == "q"
-    assert list(got.prob_keys) == list(tables.prob_keys)
+    for name, typecode in COLUMNS:
+        assert getattr(got, name).typecode == typecode, name
+        assert list(getattr(got, name)) == list(getattr(tables, name)), name
     assert float_bits(got.backoff) == float_bits(tables.backoff)
-    assert float_bits(got.prob_values) == float_bits(tables.prob_values)
+    assert float_bits(got.logprobs) == float_bits(tables.logprobs)
     assert float_bits([got.unk_log10]) == float_bits([tables.unk_log10])
     assert_shared(got)
 
 
+# the columns that load as the arrays the file holds, with their typecodes
+COLUMNS = (
+    ("parent", "q"),
+    ("prob_keys", "q"),
+    ("prob_index", "I"),
+    ("trans_keys", "q"),
+    ("trans_next", "I"),
+)
+
+
+def float_bits_of(value):
+    return float_bits([value])[0]
+
+
 def assert_shared(tables):
-    """``prob_values`` and ``backoff`` each hold one float object per
-    distinct bit pattern, and ``parent`` and the ``trans`` values one int
-    object per context id."""
-    for values in (tables.prob_values, tables.backoff):
-        assert len({id(v) for v in values}) == len(set(float_bits(values)))
-    first = {}
-    for c in tables.parent + list(tables.trans.values()):
-        assert first.setdefault(c, id(c)) == id(c), c
+    """``backoff`` holds one float object per distinct bit pattern, and
+    ``logprobs`` one distinct bit pattern per object."""
+    backoff, logprobs = tables.backoff, tables.logprobs
+    assert len({id(v) for v in backoff}) == len(set(float_bits(backoff)))
+    assert len({id(v) for v in logprobs}) == len(set(float_bits(logprobs))) == len(logprobs)
+
+
+def forty_word_tables():
+    """The tables train stores of an order-4 model on 40 words."""
+    rng = random.Random(7)
+    words = ["w%d" % i for i in range(40)]
+    model = train([[rng.choice(words) for _ in range(rng.randrange(3, 12))] for _ in range(600)], 4)
+    return write_arpa(model, io.StringIO())
 
 
 def test_loaded_tables_share_equal_numbers(tmp_path):
     """The tables train stores of an order-4 model on 40 words: thousands
     of contexts, ids above the interpreter's small-int cache that recur as
     parents, and far fewer distinct 4-decimal numbers than entries."""
-    rng = random.Random(7)
-    words = ["w%d" % i for i in range(40)]
-    model = train([[rng.choice(words) for _ in range(rng.randrange(3, 12))] for _ in range(600)], 4)
-    tables = write_arpa(model, io.StringIO())
+    tables = forty_word_tables()
     path = tmp_path / "m.tables"
     write_tables(tables, path)
     got = read_tables(path)
     assert got == tables
     assert_shared(got)
-    assert len(set(got.prob_values)) < len(got.prob_values) // 2
+    assert len(got.logprobs) < len(got.prob_keys) // 2
     assert max(c for c, n in Counter(got.parent).items() if n > 1) > 256
+
+
+def traced_peak_above_result(fn, *args):
+    """(what ``fn(*args)`` returns, the bytes it holds once returned, and
+    the highest number of bytes alive during the call above those), as
+    tracemalloc counts them."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, current - before, peak - current
+
+
+def test_read_tables_holds_at_most_one_block_above_what_it_returns(tmp_path):
+    """Each column is read into the array that holds it, and the loader
+    builds nothing per entry that it then drops, so the load peaks at most
+    one block above the tables it returns (the largest block is the log
+    probabilities' keys)."""
+    path = tmp_path / "m.tables"
+    write_tables(forty_word_tables(), path)
+    fields = _HEADER.unpack(path.read_bytes()[: _HEADER.size])
+    largest = max(array(typecode).itemsize * n for typecode, n in _blocks(*fields[6:]))
+    got, kept, above = traced_peak_above_result(read_tables, path)
+    assert got == read_tables(path)
+    assert largest >= array("q").itemsize * len(got.prob_keys) > 40_000
+    assert above <= largest, (above, kept, largest)
+
+
+def test_a_block_is_read_with_no_second_copy(tmp_path):
+    """The block's bytes go straight into its array: no bytes object of the
+    block's size is made beside it."""
+    data = array("q", range(100_000))
+    stored = array("q", data)
+    if sys.byteorder != "little":
+        stored.byteswap()
+    path = tmp_path / "block"
+    path.write_bytes(stored.tobytes())
+    with open(path, "rb") as fh:
+        block, kept, above = traced_peak_above_result(_read_block, path, fh, "q", len(data))
+    assert block == data
+    assert kept >= 8 * len(data)
+    assert above < 4096, above
 
 
 def test_scorer_on_loaded_tables_matches_the_model(tmp_path, token_lm3, sig_lm5):
@@ -647,7 +752,7 @@ def overwrite(block, fmt, value, item=0):
 
 
 # blocks of the layout, in file order (see _blocks)
-LOGPROBS, BACKOFFS, PARENT, BACKOFF_INDEX, PROBS_KEYS, PROBS_INDEX, TRANS_KEYS = range(7)
+LOGPROBS, BACKOFFS, PARENT, BACKOFF_INDEX, PROBS_KEYS, PROBS_INDEX, TRANS_KEYS, TRANS_NEXT = range(8)
 
 
 @pytest.mark.parametrize(
@@ -665,7 +770,11 @@ LOGPROBS, BACKOFFS, PARENT, BACKOFF_INDEX, PROBS_KEYS, PROBS_INDEX, TRANS_KEYS =
         (overwrite(BACKOFF_INDEX, "<I", lambda f: f[9], -1), "a value index points past its block"),
         (overwrite(PARENT, "<q", -1, -1), "context link"),
         (no_contexts, "the header declares other lengths"),
-        (lambda b, t: overwrite(TRANS_KEYS, "<q", next(iter(t.trans)), -1)(b, t), "a key is stored twice"),
+        (lambda b, t: overwrite(TRANS_KEYS, "<q", t.trans_keys[0], 1)(b, t), "a key is stored twice"),
+        (lambda b, t: overwrite(TRANS_KEYS, "<q", t.trans_keys[2])(b, t), "transition keys are out of order"),
+        (overwrite(TRANS_KEYS, "<q", lambda f: f[6] * f[3], -1), "transition key names no context"),
+        (overwrite(TRANS_NEXT, "<I", lambda f: f[6], -1), "transition does not lead to a later context"),
+        (overwrite(TRANS_NEXT, "<I", 0), "transition does not lead to a later context"),
         (lambda b, t: overwrite(PROBS_KEYS, "<q", t.prob_keys[0], 1)(b, t), "a key is stored twice"),
         (lambda b, t: overwrite(PROBS_KEYS, "<q", t.prob_keys[2])(b, t), "log probability keys are out of order"),
         (overwrite(PROBS_KEYS, "<q", lambda f: f[6] * f[3], -1), "log probability key names no context"),
@@ -688,6 +797,10 @@ LOGPROBS, BACKOFFS, PARENT, BACKOFF_INDEX, PROBS_KEYS, PROBS_INDEX, TRANS_KEYS =
         "negative-parent",
         "no-contexts",
         "trans-key-twice",
+        "trans-keys-out-of-order",
+        "trans-key-past-the-last-context",
+        "trans-target-past-the-table",
+        "trans-target-zero",
         "prob-key-twice",
         "prob-keys-out-of-order",
         "prob-key-past-the-last-context",
@@ -710,18 +823,18 @@ def test_read_tables_rejects_damaged_bytes(tmp_path, sig_lm5, damage, reason):
 @pytest.mark.parametrize(
     "change, reason",
     [
-        (lambda t: {"prob_values": [0.5] + t.prob_values[1:]}, "log probability is NaN or above 0"),
-        (lambda t: {"prob_values": [math.nan] + t.prob_values[1:]}, "log probability is NaN or above 0"),
+        (lambda t: {"logprobs": [0.5] + t.logprobs[1:]}, "log probability is NaN or above 0"),
+        (lambda t: {"logprobs": [math.nan] + t.logprobs[1:]}, "log probability is NaN or above 0"),
         (lambda t: {"unk_log10": 1.0}, "log probability is NaN or above 0"),
         (lambda t: {"backoff": t.backoff[:-1] + [math.inf]}, "backoff weight is NaN or \\+inf"),
         (lambda t: {"backoff": t.backoff[:-1] + [math.nan]}, "backoff weight is NaN or \\+inf"),
-        (lambda t: {"parent": t.parent[:-1] + [len(t.parent) - 1]}, "context link"),
-        (lambda t: {"parent": t.parent[:-1] + [-1]}, "context link"),
+        (lambda t: {"parent": t.parent[:-1] + array("q", [len(t.parent) - 1])}, "context link"),
+        (lambda t: {"parent": t.parent[:-1] + array("q", [-1])}, "context link"),
         (lambda t: {"base": t.base + 1}, "vocabulary does not match"),
         (lambda t: {"order": 0}, "vocabulary does not match"),
         # one bad number shared by every entry: the value block holds it once
-        (lambda t: {"prob_values": [math.nan] * len(t.prob_values)}, "log probability is NaN or above 0"),
-        (lambda t: {"prob_values": [0.5] * len(t.prob_values)}, "log probability is NaN or above 0"),
+        (lambda t: {"logprobs": [math.nan], "prob_index": array("I", [0]) * len(t.prob_keys)}, "log probability is NaN or above 0"),
+        (lambda t: {"logprobs": [0.5], "prob_index": array("I", [0]) * len(t.prob_keys)}, "log probability is NaN or above 0"),
         (lambda t: {"backoff": [math.inf] * len(t.backoff)}, "backoff weight is NaN or \\+inf"),
     ],
 )
@@ -736,7 +849,7 @@ def test_read_tables_rejects_values_read_arpa_would_reject(tmp_path, sig_lm5, ch
 @pytest.mark.parametrize(
     "change, reason",
     [
-        (lambda t: {"prob_keys": t.prob_keys[::-1], "prob_values": t.prob_values[::-1]}, "keys are out of order"),
+        (lambda t: {"prob_keys": t.prob_keys[::-1], "prob_index": t.prob_index[::-1]}, "keys are out of order"),
         (lambda t: {"prob_keys": t.prob_keys[:-1] + array("q", [len(t.parent) * t.base])}, "names no context"),
     ],
     ids=["reversed", "past-the-last-context"],
@@ -755,22 +868,69 @@ def test_write_tables_refuses_a_word_with_a_newline(tmp_path, sig_lm5):
         write_tables(bad, tmp_path / "m.tables")
 
 
+def last_transition_leads_to(target):
+    """A change whose last transition leads to ``target`` of the tables."""
+    return lambda t: {"trans_next": t.trans_next[:-1] + array("I", [target(t)])}
+
+
+@pytest.mark.parametrize(
+    "change, reason",
+    [
+        (lambda t: {"trans_keys": t.trans_keys[::-1], "trans_next": t.trans_next[::-1]}, "transition keys are out of order"),
+        (lambda t: {"trans_keys": t.trans_keys[:1] + t.trans_keys[:-1]}, "a key is stored twice"),
+        (lambda t: {"trans_keys": array("q", [-1]) + t.trans_keys[1:]}, "transition key names no context"),
+        (lambda t: {"trans_keys": t.trans_keys[:-1] + array("q", [len(t.parent) * t.base])}, "transition key names no context"),
+        (last_transition_leads_to(lambda t: len(t.parent)), "transition does not lead to a later context"),
+        (last_transition_leads_to(lambda t: 0), "transition does not lead to a later context"),
+        (last_transition_leads_to(lambda t: t.trans_keys[-1] // t.base), "transition does not lead to a later context"),
+        (last_transition_leads_to(lambda t: t.trans_keys[-1] // t.base - 1), "transition does not lead to a later context"),
+    ],
+    ids=[
+        "reversed",
+        "key-twice",
+        "key-negative",
+        "key-past-the-last-context",
+        "past-the-table",
+        "to-the-empty-context",
+        "to-its-source",
+        "before-its-source",
+    ],
+)
+def test_read_tables_rejects_transitions_the_builder_cannot_make(tmp_path, sig_lm5, change, reason):
+    """The builder makes one transition to each context but the empty one,
+    from a context before it, with its keys ascending like the log
+    probabilities'; the file stores each target, and tables it could not
+    have made are refused when they are read."""
+    tables = build_tables(sig_lm5)
+    assert tables.trans_keys[-1] // tables.base > 1  # so "before-its-source" names a context
+    path = tmp_path / "m.tables"
+    write_tables(rewritten(tables, **change(tables)), path)
+    with pytest.raises(MalformedTables, match=reason):
+        read_tables(path)
+
+
 @pytest.mark.parametrize(
     "change",
     [
-        lambda t: t.trans | {0: len(t.parent)},  # a link past the table
-        lambda t: dict(reversed(t.trans.items())),
-        lambda t: dict(list(t.trans.items())[:-1]),  # a context no transition leads to
-        lambda t: t.trans | {-1: 1},
+        lambda t: {"trans_keys": t.trans_keys[:-1], "trans_next": t.trans_next[:-1]},
+        lambda t: {"trans_keys": t.trans_keys + array("q", [len(t.parent) * t.base]), "trans_next": t.trans_next + array("I", [1])},
+        lambda t: {"trans_next": t.trans_next[:-1]},
     ],
-    ids=["past-the-table", "reversed", "one-short", "one-more"],
+    ids=["one-short", "one-more", "a-target-short"],
 )
-def test_write_tables_refuses_transitions_out_of_context_order(tmp_path, sig_lm5, change):
-    """The file stores no transition's target: the i-th leads to context
-    i + 1, so tables whose transitions are numbered otherwise are refused
-    rather than written as other tables."""
+def test_write_tables_refuses_a_transition_count_the_file_cannot_hold(tmp_path, sig_lm5, change):
+    """The file holds as many transitions as there are contexts but the
+    empty one, each with its key and target, so tables with another number
+    are refused rather than written as other tables."""
     tables = build_tables(sig_lm5)
     path = tmp_path / "m.tables"
-    with pytest.raises(ValueError, match="context i \\+ 1"):
-        write_tables(rewritten(tables, trans=change(tables)), path)
+    with pytest.raises(ValueError, match="one transition to each context but the empty one"):
+        write_tables(rewritten(tables, **change(tables)), path)
     assert not path.exists()
+
+
+def test_read_block_refuses_a_short_read():
+    """The header's lengths are checked against the file's size first, so a
+    block that ends early means the file changed while it was read."""
+    with pytest.raises(MalformedTables, match="ended inside a block"):
+        _read_block("m.tables", io.BytesIO(bytes(12)), "q", 2)
